@@ -21,10 +21,10 @@ from .errors import (ConfigError, DegenerateDenominatorError,
                      SimplexError, SingularSystemError, TooFewPointsError,
                      WindowViolatedError, ZeroSigmaError)
 from .estimate import (BetaEstimate, EstimateReport, JFunctionals, PEstimate,
-                       SigmaEstimate, closed_form_betas, estimate_betas,
-                       estimate_p, estimate_path, estimate_sigma,
-                       girsanov_loglik, ito_log_integral, j_functionals,
-                       left_riemann, quadratic_variation, replicate_estimates)
+                       SigmaEstimate, estimate_betas, estimate_p,
+                       estimate_path, estimate_sigma, girsanov_loglik,
+                       ito_log_integral, j_functionals, left_riemann,
+                       quadratic_variation, replicate_estimates)
 from .model import (BASELINE_INIT, BASELINE_PARAMS, MEXICO_CITY_POPULATION,
                     HypothesisWindow, ModelParams, Path, StateVec,
                     deterministic_drift, force_of_infection,
@@ -34,7 +34,6 @@ from .reconstruct import (IncidenceSeries, ReconstructConfig, normalize,
                           reconstruct_latent, replicate_reconstructions)
 from .simulate import (SCHEME_EULER, SCHEME_MILSTEIN, SimConfig,
                        WienerIncrements, draw_increments, path_from_csv,
-                       path_to_csv, replicate_seed, simulate_path, step_em,
-                       step_milstein)
+                       path_to_csv, replicate_seed, simulate_path)
 
 __version__ = "0.1.0"

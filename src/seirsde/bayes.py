@@ -197,6 +197,9 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
     def loglik(p_, kappa_):
         if y_cum is None:
             return 0.0
+        # the proposals are numpy scalars; the pure-Python RK4 runs 2-4x
+        # faster on floats, with bit-identical results
+        p_, kappa_ = float(p_), float(kappa_)
         model = fixed.replaced(p=p_, kappa=kappa_)
         states = _ode_core(model, init6, 1.0 / substeps, n_days * substeps)
         rate = (1.0 - p_) * kappa_ * series.population_n / substeps

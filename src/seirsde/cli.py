@@ -122,6 +122,12 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
+def _required(block: dict, name: str, key: str):
+    if key not in block:
+        raise errors.ConfigError(f"{name!r} block needs {key!r}")
+    return block[key]
+
+
 def _need_seed(args):
     if args.seed is None:
         raise errors.ConfigError(
@@ -151,7 +157,7 @@ def _cmd_simulate(args):
     sim_cfg = simulate.SimConfig(
         params=params, init=init,
         dt=float(block.get("dt", 1e-3)),
-        n_steps=int(block["n_steps"]),
+        n_steps=int(_required(block, "simulate", "n_steps")),
         scheme=block.get("scheme", simulate.SCHEME_EULER),
         seed=_need_seed(args),
         positivity=block.get("positivity", simulate.POSITIVITY_REJECT))
@@ -239,9 +245,8 @@ def _cmd_validate(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
     block = _block(cfg, "validate")
-    if "path_csv" not in block:
-        raise errors.ConfigError("validate block needs path_csv")
-    path = simulate.path_from_csv(block["path_csv"], require_simplex=False)
+    path = simulate.path_from_csv(_required(block, "validate", "path_csv"),
+                                  require_simplex=False)
     res = diagnostics.residual_increments(path, params,
                                           method=block.get("method", "em"))
     verdict = diagnostics.normality_test(res.standardized,
@@ -271,7 +276,8 @@ def _cmd_mc_study(args):
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     sigma = block.get("known_sigma")
     rows = diagnostics.consistency_study(
-        params, init, [float(t) for t in block["horizons"]],
+        params, init,
+        [float(t) for t in _required(block, "mc_study", "horizons")],
         n_rep=int(block.get("n_rep", 200)),
         dt=float(block.get("dt", 1e-3)),
         seed=_need_seed(args),
@@ -289,7 +295,7 @@ def _cmd_mcmc(args):
     series = None
     if "incidence" in block:
         series = load_incidence(block["incidence"],
-                                int(block["population_n"]))
+                                int(_required(block, "mcmc", "population_n")))
     priors_block = block.get("priors", {})
     priors = bayes.PriorSpec(
         p_lo=float(priors_block.get("p_lo", 0.3)),
@@ -298,7 +304,7 @@ def _cmd_mcmc(args):
         kappa_rate=float(priors_block.get("kappa_rate", 50.0)))
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     mcfg = bayes.McmcConfig(
-        iterations=int(block["iterations"]),
+        iterations=int(_required(block, "mcmc", "iterations")),
         burn_in=int(block.get("burn_in", 0)),
         proposal_sd=tuple(float(s) for s in block.get("proposal_sd",
                                                       (0.02, 0.01))),

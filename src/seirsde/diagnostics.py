@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
                      WindowViolatedError, ZeroSigmaError)
-from .estimate import _batch_estimates
+from .estimate import _estimate_replicates
 from .model import ModelParams, Path, StateVec
 from .simulate import simulate_batch
 
@@ -236,17 +236,14 @@ def consistency_study(truth: ModelParams, init: StateVec,
             raise WindowViolatedError(
                 f"all {n_rep} replicates violate the growth window at "
                 f"horizon {horizon}")
-        batch = _batch_estimates(x, dt, truth, sigma=sigma,
-                                 skip=set(sim_failures))
-        ok = np.array([i for i in range(n_rep)
-                       if i not in sim_failures and i not in batch.failures])
+        est, ok, _ = _estimate_replicates(x, dt, truth, sigma, sim_failures)
         rows.append(ConsistencyRow(
             horizon=horizon,
-            abs_err_beta_s=float(np.median(np.abs(batch.beta_s[ok]
+            abs_err_beta_s=float(np.median(np.abs(est.beta_s
                                                   - truth.beta_s))),
-            abs_err_beta_a=float(np.median(np.abs(batch.beta_a[ok]
+            abs_err_beta_a=float(np.median(np.abs(est.beta_a
                                                   - truth.beta_a))),
-            abs_err_p=float(np.median(np.abs(batch.p[ok] - truth.p))),
+            abs_err_p=float(np.median(np.abs(est.p - truth.p))),
             window_violation_rate=rate,
             flagged=rate > flag_rate,
             n_failed=n_rep - int(ok.size)))

@@ -105,12 +105,176 @@ def _columns(path: Path):
     return path.s, path.e, path.i_a, path.i_s, path.r
 
 
-def _require_positive(name, arr):
-    bad = arr <= 0.0
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise DomainError(f"{name} must stay positive for this estimator, "
-                          f"got {arr[idx]!r}", index=idx)
+class _Estimates(NamedTuple):
+    """Kernel output: scalars for one path, one entry per row for a block."""
+
+    sigma_denominators: np.ndarray  # (..., 5) time integrals of squares
+    sigma_components: np.ndarray    # (..., 5)
+    sigma: np.ndarray
+    j_s: np.ndarray
+    j_a: np.ndarray
+    j_sa: np.ndarray
+    j_2: np.ndarray
+    det: np.ndarray
+    beta_s: np.ndarray
+    beta_a: np.ndarray
+    p: np.ndarray
+    condition_number: np.ndarray
+
+
+# Every kernel stage takes the five columns (s, e, i_a, i_s, r) with time as
+# the trailing axis: 1-D for one path, 2-D for a block of replicate rows.
+# Sums run over that axis only, so a row of a block gives the same bits as
+# the 1-D path. Guards are checked afterwards, so the stages compute
+# through zeros and non-positive logs silently.
+
+@np.errstate(all="ignore")
+def _sigma_terms(cols, dt: float):
+    """Quadratic variation of each of 1 - S, E, I_a, I_s, R over the time
+    integral of its square; sigma is the root of the component mean."""
+    s, e, ia, is_, r = cols
+    series = (1.0 - s, e, ia, is_, r)
+    denoms = np.stack([np.sum(x[..., :-1] ** 2, axis=-1) * dt
+                       for x in series], axis=-1)
+    comps = np.stack([np.sum(np.diff(x, axis=-1) ** 2, axis=-1)
+                      for x in series], axis=-1) / denoms
+    return denoms, comps, np.sqrt(comps.mean(axis=-1))
+
+
+@np.errstate(all="ignore")
+def _j_terms(cols, dt: float, kappa: float):
+    """J_s, J_a, J_sa and J_2 by left-point rectangles."""
+    s, e, ia, is_, _ = cols
+    u = s / (1.0 - s)
+    v = s / e
+    j_s = np.sum(((u * is_) ** 2 + (v * is_) ** 2)[..., :-1], axis=-1) * dt
+    j_a = np.sum(((u * ia) ** 2 + (v * ia) ** 2)[..., :-1], axis=-1) * dt
+    j_sa = np.sum((ia * is_ * (u**2 + v**2))[..., :-1], axis=-1) * dt
+    j_2 = np.sum((kappa**2 * e**2 / is_**2
+                  + kappa**2 * e**2 / ia**2)[..., :-1], axis=-1) * dt
+    return j_s, j_a, j_sa, j_2
+
+
+@np.errstate(all="ignore")
+def _kernel(cols, dt: float, params: ModelParams,
+            sigma: Optional[float]) -> _Estimates:
+    """sigma, the J's, both betas, p and the condition number.
+
+    mu, gamma, kappa and the alphas are known from ``params``; a known
+    ``sigma`` replaces the quadratic-variation estimate in the A functionals
+    and in p.
+    """
+    s, e, ia, is_, r = cols
+    denoms, comps, sig = _sigma_terms(cols, dt)
+    if sigma is not None:
+        sig = np.full(sig.shape, float(sigma))
+    j_s, j_a, j_sa, j_2 = _j_terms(cols, dt, params.kappa)
+    # j_sa * j_sa, not j_sa**2: on a 0-d value ** calls C pow, on an array
+    # numpy squares, and the two can round apart
+    det = j_s * j_a - j_sa * j_sa
+    half_var = 0.5 * sig * sig
+    hv = half_var[..., None]  # broadcast along time
+    one_minus_s = 1.0 - s
+    dlog_oms = np.diff(np.log(one_minus_s), axis=-1)
+    dlog_e = np.diff(np.log(e), axis=-1)
+
+    def a_functional(istar):
+        """Right-hand side of the normal equations for one branch."""
+        u = s * istar / one_minus_s
+        v = s * istar / e
+        return (np.sum(u[..., :-1] * dlog_oms, axis=-1)
+                + np.sum((u * (params.mu + params.gamma * r / one_minus_s
+                               + hv))[..., :-1], axis=-1) * dt
+                + np.sum(v[..., :-1] * dlog_e, axis=-1)
+                + np.sum((v * (params.mu + hv))[..., :-1], axis=-1) * dt
+                + params.kappa * (np.sum(v[..., :-1], axis=-1) * dt))
+
+    a_s = a_functional(is_)
+    a_a = a_functional(ia)
+    beta_s = (j_a * a_s - j_sa * a_a) / det
+    beta_a = (j_s * a_a - j_sa * a_s) / det
+    half_gap = np.hypot(j_s - j_a, 2.0 * j_sa)
+    lam_max = 0.5 * (j_s + j_a + half_gap)
+    lam_min = 0.5 * (j_s + j_a - half_gap)
+    cond = np.where(lam_min <= 0, np.inf, lam_max / lam_min)
+
+    k = params.kappa
+    e_is = e / is_
+    e_ia = e / ia
+    p_hat = (k**2 * (np.sum((e**2 / is_**2)[..., :-1], axis=-1) * dt)
+             - k * np.sum(e_is[..., :-1] * np.diff(np.log(is_), axis=-1),
+                          axis=-1)
+             + k * np.sum(e_ia[..., :-1] * np.diff(np.log(ia), axis=-1),
+                          axis=-1)
+             - k * (params.alpha_s + params.mu + half_var)
+             * (np.sum(e_is[..., :-1], axis=-1) * dt)
+             + k * (params.alpha_a + params.mu + half_var)
+             * (np.sum(e_ia[..., :-1], axis=-1) * dt)) / j_2
+    return _Estimates(denoms, comps, sig, j_s, j_a, j_sa, j_2, det,
+                      beta_s, beta_a, p_hat, cond)
+
+
+def _require_sigma_denominators(denoms: np.ndarray) -> None:
+    low = denoms < DENOMINATOR_GUARD
+    if np.any(low):
+        i = int(np.argmax(low))
+        raise DegenerateDenominatorError(
+            f"component {i} denominator {float(denoms[i])!r} below guard")
+
+
+def _failures(cols, est: Optional[_Estimates] = None, singular: bool = False,
+              j_2: bool = False) -> dict:
+    """Row index -> the first guard that row fails.
+
+    In order: 1-S, E, I_a and I_s positive (the error carries the first
+    offending grid index), then on request the normal equations nonsingular
+    and J_2 above its guard. A 1-D path is row 0.
+    """
+    failures = {}
+    s, e, ia, is_, _ = (np.atleast_2d(c) for c in cols)
+    for name, arr in (("1-S", 1.0 - s), ("E", e), ("I_a", ia), ("I_s", is_)):
+        for i in np.flatnonzero(np.any(arr <= 0.0, axis=-1)):
+            k = int(np.argmax(arr[i] <= 0.0))
+            failures.setdefault(int(i), DomainError(
+                f"{name} must stay positive for this estimator, got "
+                f"{arr[i, k]!r}", index=k))
+    if singular:
+        det, jj = np.atleast_1d(est.det), np.atleast_1d(est.j_s * est.j_a)
+        for i in np.flatnonzero(det <= SINGULARITY_GUARD * jj):
+            failures.setdefault(int(i), SingularSystemError(
+                f"normal equations singular: det = {float(det[i])!r} with "
+                f"j_s j_a = {float(jj[i])!r}"))
+    if j_2:
+        j2 = np.atleast_1d(est.j_2)
+        for i in np.flatnonzero(j2 <= DENOMINATOR_GUARD):
+            failures.setdefault(int(i), DegenerateDenominatorError(
+                f"J_2 = {float(j2[i])!r} below guard"))
+    return failures
+
+
+def _raise_first(failures: dict) -> None:
+    if failures:
+        raise failures[0]
+
+
+def _need_two_points(path: Path) -> None:
+    if len(path) < 2:
+        raise LengthMismatchError("need at least two grid points")
+
+
+def _path_estimates(path: Path, params: ModelParams, sigma: Optional[float],
+                    singular: bool, j_2: bool) -> _Estimates:
+    """The kernel on one path; raises the first guard it fails, the sigma
+    denominators first when sigma is estimated."""
+    if sigma is not None and sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    _need_two_points(path)
+    cols = _columns(path)
+    est = _kernel(cols, path.dt, params, sigma)
+    if sigma is None:
+        _require_sigma_denominators(est.sigma_denominators)
+    _raise_first(_failures(cols, est, singular, j_2))
+    return est
 
 
 def estimate_sigma(path: Path) -> SigmaEstimate:
@@ -120,64 +284,18 @@ def estimate_sigma(path: Path) -> SigmaEstimate:
     X_i squared (with 1 - S in place of S); the point estimate is the root
     of the component mean.
     """
-    if len(path) < 2:
-        raise LengthMismatchError("need at least two grid points")
-    s, e, ia, is_, r = _columns(path)
-    comps = np.empty(5)
-    for i, series in enumerate((1.0 - s, e, ia, is_, r)):
-        denom = float(np.sum(series[:-1] ** 2) * path.dt)
-        if denom < DENOMINATOR_GUARD:
-            raise DegenerateDenominatorError(
-                f"component {i} denominator {denom!r} below guard")
-        comps[i] = np.sum(np.diff(series) ** 2) / denom
-    return SigmaEstimate(float(np.sqrt(comps.mean())), comps)
+    _need_two_points(path)
+    denoms, comps, sig = _sigma_terms(_columns(path), path.dt)
+    _require_sigma_denominators(denoms)
+    return SigmaEstimate(float(sig), comps)
 
 
 def j_functionals(path: Path, kappa: float) -> JFunctionals:
     """J_s, J_a, J_sa and J_2 by left-point rectangles."""
-    if len(path) < 2:
-        raise LengthMismatchError("need at least two grid points")
-    s, e, ia, is_, r = _columns(path)
-    one_minus_s = 1.0 - s
-    _require_positive("1-S", one_minus_s)
-    _require_positive("E", e)
-    _require_positive("I_a", ia)
-    _require_positive("I_s", is_)
-    dt = path.dt
-    u = s / one_minus_s
-    v = s / e
-    j_s = float(np.sum(((u * is_) ** 2 + (v * is_) ** 2)[:-1]) * dt)
-    j_a = float(np.sum(((u * ia) ** 2 + (v * ia) ** 2)[:-1]) * dt)
-    j_sa = float(np.sum((ia * is_ * (u**2 + v**2))[:-1]) * dt)
-    j_2 = float(np.sum((kappa**2 * e**2 / is_**2
-                        + kappa**2 * e**2 / ia**2)[:-1]) * dt)
-    return JFunctionals(j_s, j_a, j_sa, j_2)
-
-
-def _sigma_or_estimate(path: Path, sigma: Optional[float]) -> float:
-    if sigma is None:
-        return estimate_sigma(path).sigma
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    return float(sigma)
-
-
-def _a_functional(path: Path, istar: np.ndarray, params: ModelParams,
-                  sigma: float) -> float:
-    """Right-hand side of the normal equations for one infectious branch."""
-    s, e, _, _, r = _columns(path)
-    one_minus_s = 1.0 - s
-    dt = path.dt
-    u = s * istar / one_minus_s
-    v = s * istar / e
-    half_var = 0.5 * sigma * sigma
-    t1 = float(np.sum(u[:-1] * np.diff(np.log(one_minus_s))))
-    t2 = float(np.sum((u * (params.mu + params.gamma * r / one_minus_s
-                            + half_var))[:-1]) * dt)
-    t3 = float(np.sum(v[:-1] * np.diff(np.log(e))))
-    t4 = float(np.sum((v * (params.mu + half_var))[:-1]) * dt)
-    t5 = params.kappa * float(np.sum(v[:-1]) * dt)
-    return t1 + t2 + t3 + t4 + t5
+    _need_two_points(path)
+    cols = _columns(path)
+    _raise_first(_failures(cols))
+    return JFunctionals(*(float(j) for j in _j_terms(cols, path.dt, kappa)))
 
 
 def estimate_betas(path: Path, params: ModelParams,
@@ -189,65 +307,9 @@ def estimate_betas(path: Path, params: ModelParams,
     the quadratic-variation estimate on the same path.
     """
     path = _maybe_truncate(path, restrict_to_window)
-    sig = _sigma_or_estimate(path, sigma)
-    j = j_functionals(path, params.kappa)
-    det = j.j_s * j.j_a - j.j_sa**2
-    if det <= SINGULARITY_GUARD * j.j_s * j.j_a:
-        raise SingularSystemError(
-            f"normal equations singular: det = {det!r} with "
-            f"j_s j_a = {j.j_s * j.j_a!r}")
-    a_s = _a_functional(path, path.i_s, params, sig)
-    a_a = _a_functional(path, path.i_a, params, sig)
-    beta_s = (j.j_a * a_s - j.j_sa * a_a) / det
-    beta_a = (j.j_s * a_a - j.j_sa * a_s) / det
-    half_gap = np.hypot(j.j_s - j.j_a, 2.0 * j.j_sa)
-    lam_max = 0.5 * (j.j_s + j.j_a + half_gap)
-    lam_min = 0.5 * (j.j_s + j.j_a - half_gap)
-    cond = float("inf") if lam_min <= 0 else lam_max / lam_min
-    return BetaEstimate(float(beta_s), float(beta_a), float(cond))
-
-
-def closed_form_betas(path: Path, params: ModelParams,
-                      sigma: float) -> tuple:
-    """The fully expanded closed forms, accumulated term by term.
-
-    Algebraically identical to ``estimate_betas`` but grouped the way the
-    expansion distributes the J factors into each integral; the two
-    evaluations agree to rounding, which the tests assert.
-    """
-    sig = float(sigma)
-    j = j_functionals(path, params.kappa)
-    det = j.j_s * j.j_a - j.j_sa**2
-    if det <= SINGULARITY_GUARD * j.j_s * j.j_a:
-        raise SingularSystemError("normal equations singular")
-    s, e, _, _, r = _columns(path)
-    one_minus_s = 1.0 - s
-    dt = path.dt
-    half_var = 0.5 * sig * sig
-
-    def pieces(istar):
-        u = s * istar / one_minus_s
-        v = s * istar / e
-        return (
-            float(np.sum(u[:-1] * np.diff(np.log(one_minus_s)))),
-            float(np.sum((u * (params.mu + params.gamma * r / one_minus_s
-                               + half_var))[:-1]) * dt),
-            float(np.sum(v[:-1] * np.diff(np.log(e)))),
-            float(np.sum((v * (params.mu + half_var))[:-1]) * dt),
-            float(np.sum(v[:-1]) * dt),
-        )
-
-    t1s, t2s, t3s, t4s, t5s = pieces(path.i_s)
-    t1a, t2a, t3a, t4a, t5a = pieces(path.i_a)
-    beta_s = (j.j_a * t1s + j.j_a * t2s + j.j_a * t3s + j.j_a * t4s
-              + params.kappa * j.j_a * t5s
-              - j.j_sa * t1a - j.j_sa * t2a - j.j_sa * t3a - j.j_sa * t4a
-              - params.kappa * j.j_sa * t5a) / det
-    beta_a = (-j.j_sa * t1s - j.j_sa * t2s - j.j_sa * t3s - j.j_sa * t4s
-              - params.kappa * j.j_sa * t5s
-              + j.j_s * t1a + j.j_s * t2a + j.j_s * t3a + j.j_s * t4a
-              + params.kappa * j.j_s * t5a) / det
-    return beta_s, beta_a
+    est = _path_estimates(path, params, sigma, singular=True, j_2=False)
+    return BetaEstimate(float(est.beta_s), float(est.beta_a),
+                        float(est.condition_number))
 
 
 def estimate_p(path: Path, params: ModelParams,
@@ -260,23 +322,10 @@ def estimate_p(path: Path, params: ModelParams,
     growth-window violation.
     """
     path = _maybe_truncate(path, restrict_to_window)
-    sig = _sigma_or_estimate(path, sigma)
-    j = j_functionals(path, params.kappa)
-    if j.j_2 <= DENOMINATOR_GUARD:
-        raise DegenerateDenominatorError(f"J_2 = {j.j_2!r} below guard")
-    _, e, ia, is_, _ = _columns(path)
-    dt = path.dt
-    k = params.kappa
-    half_var = 0.5 * sig * sig
-    value = (k**2 * float(np.sum((e**2 / is_**2)[:-1]) * dt)
-             - k * float(np.sum((e / is_)[:-1] * np.diff(np.log(is_))))
-             + k * float(np.sum((e / ia)[:-1] * np.diff(np.log(ia))))
-             - k * (params.alpha_s + params.mu + half_var)
-             * float(np.sum((e / is_)[:-1]) * dt)
-             + k * (params.alpha_a + params.mu + half_var)
-             * float(np.sum((e / ia)[:-1]) * dt)) / j.j_2
-    clamped = min(max(value, 0.0), 1.0)
-    return PEstimate(float(value), float(clamped), not 0.0 <= value <= 1.0)
+    est = _path_estimates(path, params, sigma, singular=False, j_2=True)
+    value = float(est.p)
+    return PEstimate(value, min(max(value, 0.0), 1.0),
+                     not 0.0 <= value <= 1.0)
 
 
 def girsanov_loglik(path: Path, theta: Sequence[float],
@@ -304,12 +353,10 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
         raise ValueError("sigma must be positive")
     beta_s, beta_a, p = (float(t) for t in theta)
     beta_s0, beta_a0, p0 = (float(t) for t in theta0)
-    s, e, ia, is_, _ = _columns(path)
+    cols = _columns(path)
+    _raise_first(_failures(cols))
+    s, e, ia, is_, _ = cols
     one_minus_s = 1.0 - s
-    _require_positive("1-S", one_minus_s)
-    _require_positive("E", e)
-    _require_positive("I_a", ia)
-    _require_positive("I_s", is_)
     dfb = (beta_s - beta_s0) * is_ + (beta_a - beta_a0) * ia
     dp = p - p0
     g1 = -dfb * s / (sigma * one_minus_s)
@@ -327,17 +374,16 @@ def estimate_path(path: Path, params: ModelParams,
     """Full single-path report: sigma, both betas, p, J's and the window."""
     window = hypothesis_window(path)
     work = _maybe_truncate(path, restrict_to_window, window)
-    sig_est = estimate_sigma(work) if sigma is None else None
-    sig = sig_est.sigma if sigma is None else float(sigma)
-    comps = sig_est.components if sig_est is not None else None
-    betas = estimate_betas(work, params, sigma=sig)
-    p_est = estimate_p(work, params, sigma=sig)
-    j = j_functionals(work, params.kappa)
+    est = _path_estimates(work, params, sigma, singular=True, j_2=True)
+    p = float(est.p)
     return EstimateReport(
-        beta_s=betas.beta_s, beta_a=betas.beta_a, p=p_est.value,
-        p_clamped=p_est.clamped, p_out_of_range=p_est.out_of_range,
-        sigma=sig, sigma_components=comps, j=j,
-        condition_number=betas.condition_number, window=window,
+        beta_s=float(est.beta_s), beta_a=float(est.beta_a), p=p,
+        p_clamped=min(max(p, 0.0), 1.0), p_out_of_range=not 0.0 <= p <= 1.0,
+        sigma=float(est.sigma),
+        sigma_components=est.sigma_components if sigma is None else None,
+        j=JFunctionals(float(est.j_s), float(est.j_a), float(est.j_sa),
+                       float(est.j_2)),
+        condition_number=float(est.condition_number), window=window,
         ci=None, n_replicates=None)
 
 
@@ -393,6 +439,39 @@ class EstimateReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
+# Rows go through the kernel about this many grid values per compartment at
+# a time. A whole (n_rep, n, 5) block at once needs dozens of temporaries of
+# its own size (86 MB at 100 x 12,001); in chunks they take a few MB and the
+# estimates come 2-4x faster. Rows of a few points make chunks of hundreds
+# of rows, which keeps numpy's per-call overhead small.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _estimate_replicates(x: np.ndarray, dt: float, params: ModelParams,
+                         sigma: Optional[float], failures: dict):
+    """The kernel over an (n_rep, n, 5) state array, a chunk of rows at a
+    time.
+
+    Rows already in ``failures`` are not estimated; a row failing the
+    positivity or singularity guard joins them. Returns the estimates of
+    the kept rows, their indices and all failures.
+    """
+    n_rep, n, _ = x.shape
+    per_chunk = max(1, _CHUNK_ELEMENTS // n)
+    failures = dict(failures)
+    parts = []
+    for lo in range(0, n_rep, per_chunk):
+        cols = tuple(np.ascontiguousarray(x[lo:lo + per_chunk, :, c])
+                     for c in range(5))
+        est = _kernel(cols, dt, params, sigma)
+        for i, exc in _failures(cols, est, singular=True).items():
+            failures.setdefault(lo + i, exc)
+        parts.append(est)
+    ok = np.array([i for i in range(n_rep) if i not in failures], dtype=int)
+    est = _Estimates(*(np.concatenate(field)[ok] for field in zip(*parts)))
+    return est, ok, failures
+
+
 def replicate_estimates(obs_is, cfg: ReconstructConfig, n_rep: int,
                         sigma: Optional[float] = None) -> EstimateReport:
     """Reconstruct n_rep latent paths and estimate each one.
@@ -403,147 +482,34 @@ def replicate_estimates(obs_is, cfg: ReconstructConfig, n_rep: int,
     if n_rep < 2:
         raise ValueError("n_rep must be at least 2")
     x, dw, failures = reconstruct_replicate_arrays(obs_is, cfg, n_rep)
-    batch = _batch_estimates(x, cfg.dt, cfg.params, sigma=sigma,
-                             skip=set(failures))
-    failures.update(batch.failures)
-    if len(failures) > 0.10 * n_rep:
-        raise ReplicateError(failures)
-    ok = np.array([i for i in range(n_rep) if i not in failures])
-    if ok.size < 2:
+    est, ok, failures = _estimate_replicates(x, cfg.dt, cfg.params, sigma,
+                                             failures)
+    if len(failures) > 0.10 * n_rep or ok.size < 2:
         raise ReplicateError(failures)
 
-    def summary(vals):
-        v = vals[ok]
+    def summary(v):
         return float(np.mean(v)), {"lo": float(np.percentile(v, 2.5)),
                                    "hi": float(np.percentile(v, 97.5))}
 
-    bs_mean, bs_ci = summary(batch.beta_s)
-    ba_mean, ba_ci = summary(batch.beta_a)
-    p_mean, p_ci = summary(batch.p)
-    sg_mean, sg_ci = summary(batch.sigma)
+    bs_mean, bs_ci = summary(est.beta_s)
+    ba_mean, ba_ci = summary(est.beta_a)
+    p_mean, p_ci = summary(est.p)
+    sg_mean, sg_ci = summary(est.sigma)
     first = int(ok[0])
     first_path = Path(0.0, cfg.dt, x[first, :, 0], x[first, :, 1],
                       x[first, :, 2], x[first, :, 3], x[first, :, 4],
                       wiener=dw[first], require_simplex=False)
     window = hypothesis_window(first_path)
-    j_mean = JFunctionals(*(float(np.mean(getattr(batch, name)[ok]))
-                            for name in ("j_s", "j_a", "j_sa", "j_2")))
+    j_mean = JFunctionals(*(float(np.mean(j))
+                            for j in (est.j_s, est.j_a, est.j_sa, est.j_2)))
     return EstimateReport(
         beta_s=bs_mean, beta_a=ba_mean, p=p_mean,
         p_clamped=min(max(p_mean, 0.0), 1.0),
         p_out_of_range=not 0.0 <= p_mean <= 1.0,
         sigma=sg_mean,
-        sigma_components=np.mean(batch.sigma_components[ok], axis=0),
+        sigma_components=np.mean(est.sigma_components, axis=0),
         j=j_mean,
-        condition_number=float(np.mean(batch.condition_number[ok])),
+        condition_number=float(np.mean(est.condition_number)),
         window=window,
         ci={"beta_s": bs_ci, "beta_a": ba_ci, "p": p_ci, "sigma": sg_ci},
         n_replicates=int(ok.size))
-
-
-class _BatchEstimates(NamedTuple):
-    beta_s: np.ndarray
-    beta_a: np.ndarray
-    p: np.ndarray
-    sigma: np.ndarray
-    sigma_components: np.ndarray
-    j_s: np.ndarray
-    j_a: np.ndarray
-    j_sa: np.ndarray
-    j_2: np.ndarray
-    condition_number: np.ndarray
-    failures: dict
-
-
-def _batch_estimates(x: np.ndarray, dt: float, params: ModelParams,
-                     sigma: Optional[float] = None,
-                     skip: Optional[set] = None) -> _BatchEstimates:
-    """Vectorised sigma/beta/p estimation over (n_rep, n, 5) state arrays.
-
-    Rows listed in ``skip`` and rows violating a domain or singularity
-    guard are reported in ``failures``; their outputs are NaN.
-    """
-    n_rep = x.shape[0]
-    skip = skip or set()
-    s, e, ia, is_, r = (x[:, :, i] for i in range(5))
-    one_minus_s = 1.0 - s
-    failures = {}
-    valid = np.ones(n_rep, dtype=bool)
-    for i in list(skip):
-        valid[i] = False
-    for name, arr in (("1-S", one_minus_s), ("E", e), ("I_a", ia),
-                      ("I_s", is_)):
-        bad = valid & np.any(arr <= 0.0, axis=1)
-        for i in np.flatnonzero(bad):
-            failures[int(i)] = DomainError(
-                f"{name} not positive", index=int(np.argmax(arr[i] <= 0.0)))
-        valid &= ~bad
-
-    with np.errstate(all="ignore"):
-        comps = np.stack([
-            np.sum(np.diff(series, axis=1) ** 2, axis=1)
-            / (np.sum(series[:, :-1] ** 2, axis=1) * dt)
-            for series in (one_minus_s, e, ia, is_, r)
-        ], axis=-1)
-        sig = np.sqrt(comps.mean(axis=-1)) if sigma is None \
-            else np.full(n_rep, float(sigma))
-
-        u = s / one_minus_s
-        v = s / e
-        j_s = np.sum(((u * is_) ** 2 + (v * is_) ** 2)[:, :-1], axis=1) * dt
-        j_a = np.sum(((u * ia) ** 2 + (v * ia) ** 2)[:, :-1], axis=1) * dt
-        j_sa = np.sum((ia * is_ * (u**2 + v**2))[:, :-1], axis=1) * dt
-        k = params.kappa
-        j_2 = np.sum((k**2 * e**2 / is_**2 + k**2 * e**2 / ia**2)[:, :-1],
-                     axis=1) * dt
-        det = j_s * j_a - j_sa**2
-        singular = valid & (det <= SINGULARITY_GUARD * j_s * j_a)
-        for i in np.flatnonzero(singular):
-            failures[int(i)] = SingularSystemError(
-                f"det = {det[i]!r} with j_s j_a = {(j_s * j_a)[i]!r}")
-        valid &= ~singular
-
-        half_var = (0.5 * sig * sig)[:, None]
-        dlog_oms = np.diff(np.log(one_minus_s), axis=1)
-        dlog_e = np.diff(np.log(e), axis=1)
-
-        def a_star(istar):
-            uu = s * istar / one_minus_s
-            vv = s * istar / e
-            return (np.sum(uu[:, :-1] * dlog_oms, axis=1)
-                    + np.sum((uu * (params.mu
-                                    + params.gamma * r / one_minus_s
-                                    + half_var))[:, :-1], axis=1) * dt
-                    + np.sum(vv[:, :-1] * dlog_e, axis=1)
-                    + np.sum((vv * (params.mu + half_var))[:, :-1],
-                             axis=1) * dt
-                    + k * np.sum(vv[:, :-1], axis=1) * dt)
-
-        a_s = a_star(is_)
-        a_a = a_star(ia)
-        beta_s = (j_a * a_s - j_sa * a_a) / det
-        beta_a = (j_s * a_a - j_sa * a_s) / det
-
-        hv = half_var[:, 0]
-        p_num = (k**2 * np.sum((e**2 / is_**2)[:, :-1], axis=1) * dt
-                 - k * np.sum((e / is_)[:, :-1]
-                              * np.diff(np.log(is_), axis=1), axis=1)
-                 + k * np.sum((e / ia)[:, :-1]
-                              * np.diff(np.log(ia), axis=1), axis=1)
-                 - k * (params.alpha_s + params.mu + hv)
-                 * np.sum((e / is_)[:, :-1], axis=1) * dt
-                 + k * (params.alpha_a + params.mu + hv)
-                 * np.sum((e / ia)[:, :-1], axis=1) * dt)
-        p_hat = p_num / j_2
-
-        half_gap = np.hypot(j_s - j_a, 2.0 * j_sa)
-        lam_max = 0.5 * (j_s + j_a + half_gap)
-        lam_min = 0.5 * (j_s + j_a - half_gap)
-        cond = np.where(lam_min > 0, lam_max / np.where(lam_min > 0, lam_min, 1.0),
-                        np.inf)
-
-    for arr in (beta_s, beta_a, p_hat, sig, cond):
-        arr[~valid] = np.nan
-    comps[~valid] = np.nan
-    return _BatchEstimates(beta_s, beta_a, p_hat, sig, comps,
-                           j_s, j_a, j_sa, j_2, cond, failures)

@@ -11,7 +11,7 @@ same increments and the fractions always sum to one.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -20,6 +20,13 @@ from .errors import DomainError, SimplexError, ZeroSigmaError
 
 SIMPLEX_TOL = 1e-12
 PATH_SIMPLEX_TOL = 1e-9
+
+
+def _require_finite(obj) -> None:
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{f.name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,7 @@ class ModelParams:
     sigma: float
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("mu", "kappa", "alpha_a", "alpha_s", "gamma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -76,6 +84,7 @@ class StateVec:
     tol: InitVar[float] = SIMPLEX_TOL
 
     def __post_init__(self, tol):
+        _require_finite(self)
         for name in ("s", "e", "i_a", "i_s", "r"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

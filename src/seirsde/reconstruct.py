@@ -14,10 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (EmptySeriesError, LengthMismatchError, PositivityError,
-                     ReplicateError)
-from .model import ModelParams, Path
-from .simulate import RNG_ALGORITHM, _generator, replicate_seed
+from .errors import (EmptySeriesError, LengthMismatchError,
+                     NegativeCountError, PositivityError, ReplicateError)
+from .model import INITIAL_POOL_PRIOR, ModelParams, Path
+from .simulate import (RNG_ALGORITHM, _generator, _step_s_e_ia,
+                       replicate_seed)
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class IncidenceSeries:
         if len(self.counts) < 1:
             raise EmptySeriesError("an incidence series needs records")
         if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
+            raise NegativeCountError("counts must be nonnegative")
         if self.population_n < max(self.counts):
             raise ValueError("population_n must be at least the largest count")
 
@@ -63,7 +64,6 @@ class ReconstructConfig:
     pedantic_paper: bool = False
     resample_initials: bool = False
     population_n: Optional[int] = None
-    initial_pool_prior: tuple = (47.0, 2100.0)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -84,7 +84,7 @@ def normalize(series: IncidenceSeries) -> np.ndarray:
 
 
 def _draw_initials(cfg: ReconstructConfig, rng) -> tuple:
-    lo, hi = cfg.initial_pool_prior
+    lo, hi = INITIAL_POOL_PRIOR
     e0 = rng.uniform(lo, hi) / cfg.population_n
     ia0 = rng.uniform(lo, hi) / cfg.population_n
     return e0, ia0
@@ -118,22 +118,18 @@ def _reconstruct_arrays(obs, dW, e0, ia0, r0, params, dt, pedantic,
         r = x[:, n, 4]
         is_n = obs[n]
         w = dW[:, n]
-        fb = pr.beta_s * is_n + pr.beta_a * ia
         if pedantic:
             # verbatim published recurrence, typos included: the S noise is
             # sign-flipped, the I_a line multiplies the E inflow by I_a and
             # replaces its Wiener increment by dt
+            fb = pr.beta_s * is_n + pr.beta_a * ia
             s1 = s - (pr.mu + fb) * dt * s + (pr.mu + pr.gamma * r) * dt \
                 - pr.sigma * (1.0 - s) * w
             e1 = e - (pr.kappa + pr.mu) * dt * e + dt * fb * s - pr.sigma * e * w
             ia1 = ia - pr.p * pr.kappa * e * dt * ia \
                 - (pr.alpha_a + pr.mu) * ia * dt - pr.sigma * ia * dt
         else:
-            s1 = s + (pr.mu - pr.mu * s - fb * s + pr.gamma * r) * dt \
-                + pr.sigma * (1.0 - s) * w
-            e1 = e + (fb * s - (pr.kappa + pr.mu) * e) * dt - pr.sigma * e * w
-            ia1 = ia + (pr.p * pr.kappa * e
-                        - (pr.alpha_a + pr.mu) * ia) * dt - pr.sigma * ia * w
+            s1, e1, ia1 = _step_s_e_ia(s, e, ia, is_n, r, w, dt, pr)
         is1 = obs[n + 1]
         r1 = 1.0 - s1 - e1 - ia1 - is1
         latent = np.stack([s1, e1, ia1], axis=-1)

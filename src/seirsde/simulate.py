@@ -10,6 +10,7 @@ is reproducible end to end.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,8 +43,9 @@ class SimConfig:
     positivity: str = POSITIVITY_REJECT
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got "
+                             f"{self.dt!r}")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
         if self.scheme not in (SCHEME_EULER, SCHEME_MILSTEIN):
@@ -96,9 +98,8 @@ def draw_increments(seed, n_steps: int, dt: float) -> WienerIncrements:
     return WienerIncrements(rng.standard_normal(n_steps) * np.sqrt(dt), dt)
 
 
-def _step_values(x, dw, dt, params, milstein):
-    """One step on plain floats. x is the tuple (s, e, i_a, i_s, r)."""
-    s, e, ia, is_, r = x
+def _step_s_e_ia(s, e, ia, is_, r, dw, dt, params):
+    """S, E and I_a after one Euler-Maruyama step; floats or arrays."""
     fb = params.beta_s * is_ + params.beta_a * ia
     sig = params.sigma
     s1 = s + (params.mu - params.mu * s - fb * s + params.gamma * r) * dt \
@@ -106,6 +107,15 @@ def _step_values(x, dw, dt, params, milstein):
     e1 = e + (fb * s - (params.kappa + params.mu) * e) * dt - sig * e * dw
     ia1 = ia + (params.p * params.kappa * e
                 - (params.alpha_a + params.mu) * ia) * dt - sig * ia * dw
+    return s1, e1, ia1
+
+
+def _step_values(x, dw, dt, params, milstein):
+    """One step of all five coordinates, x = (s, e, i_a, i_s, r); floats or
+    arrays."""
+    s, e, ia, is_, r = x
+    s1, e1, ia1 = _step_s_e_ia(s, e, ia, is_, r, dw, dt, params)
+    sig = params.sigma
     is1 = is_ + ((1.0 - params.p) * params.kappa * e
                  - (params.alpha_s + params.mu) * is_) * dt - sig * is_ * dw
     r1 = r + (params.alpha_a * ia + params.alpha_s * is_
@@ -129,26 +139,6 @@ def _apply_positivity(values, policy, step_index):
                 raise PositivityError(step_index, name, v)
         return values
     return tuple(min(max(v, _CLAMP), 1.0 - _CLAMP) for v in values)
-
-
-def _step_state(x: StateVec, dw: float, cfg: SimConfig, milstein: bool,
-                step_index: int) -> StateVec:
-    vals = _step_values((x.s, x.e, x.i_a, x.i_s, x.r), dw, cfg.dt,
-                        cfg.params, milstein)
-    vals = _apply_positivity(vals, cfg.positivity, step_index)
-    return StateVec(*vals, tol=float("inf"))
-
-
-def step_em(x: StateVec, dw: float, cfg: SimConfig, step_index: int = 0) -> StateVec:
-    """One Euler-Maruyama step; drift and diffusion both sum to zero on the
-    simplex, so the component sum is preserved up to rounding."""
-    return _step_state(x, dw, cfg, milstein=False, step_index=step_index)
-
-
-def step_milstein(x: StateVec, dw: float, cfg: SimConfig,
-                  step_index: int = 0) -> StateVec:
-    """One Milstein step; the corrections also sum to zero on the simplex."""
-    return _step_state(x, dw, cfg, milstein=True, step_index=step_index)
 
 
 def simulate_path(cfg: SimConfig,
@@ -198,25 +188,9 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
     milstein = scheme == SCHEME_MILSTEIN
     alive = np.ones(n_rep, dtype=bool)
     failures = {}
-    sig = params.sigma
     for k in range(n_steps):
-        s, e, ia, is_, r = x[:, k].T
-        fb = params.beta_s * is_ + params.beta_a * ia
-        w = dw[:, k]
-        nxt = np.stack([
-            s + (params.mu - params.mu * s - fb * s + params.gamma * r) * dt
-            + sig * (1.0 - s) * w,
-            e + (fb * s - (params.kappa + params.mu) * e) * dt - sig * e * w,
-            ia + (params.p * params.kappa * e
-                  - (params.alpha_a + params.mu) * ia) * dt - sig * ia * w,
-            is_ + ((1.0 - params.p) * params.kappa * e
-                   - (params.alpha_s + params.mu) * is_) * dt - sig * is_ * w,
-            r + (params.alpha_a * ia + params.alpha_s * is_
-                 - (params.mu + params.gamma) * r) * dt - sig * r * w,
-        ], axis=-1)
-        if milstein:
-            c = (0.5 * sig * sig * (w * w - dt))[:, None]
-            nxt += c * np.stack([-(1.0 - s), e, ia, is_, r], axis=-1)
+        nxt = np.stack(_step_values(x[:, k].T, dw[:, k], dt, params,
+                                    milstein), axis=-1)
         if positivity == POSITIVITY_REFLECT:
             np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
         if positivity == POSITIVITY_REJECT:

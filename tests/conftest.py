@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from seirsde import BASELINE_INIT, BASELINE_PARAMS, StateVec
+from seirsde import (BASELINE_INIT, BASELINE_PARAMS, SingularSystemError,
+                     StateVec, WienerIncrements, j_functionals, simulate_path)
+from seirsde.estimate import SINGULARITY_GUARD
 
 
 @pytest.fixture
@@ -32,3 +36,59 @@ def interior_init():
 def as_matrix(path):
     """Path coordinates as an (n, 5) array for quick assertions."""
     return np.column_stack([path.s, path.e, path.i_a, path.i_s, path.r])
+
+
+def one_step(x, dw, cfg, step_index=0):
+    """State after step ``step_index`` of ``simulate_path`` from ``x``.
+
+    Every earlier step is driven by a zero increment and that step by
+    ``dw``, under the scheme and positivity policy of ``cfg``.
+    """
+    increments = np.zeros(step_index + 1)
+    increments[-1] = dw
+    path = simulate_path(dataclasses.replace(cfg, init=x,
+                                             n_steps=step_index + 1),
+                         WienerIncrements(increments, cfg.dt))
+    return path.state(step_index + 1, tol=float("inf"))
+
+
+def closed_form_betas(path, params, sigma):
+    """The fully expanded closed forms, accumulated term by term.
+
+    Algebraically identical to ``estimate_betas`` but grouped the way the
+    expansion distributes the J factors into each integral; the two
+    evaluations agree to rounding, which the tests assert.
+    """
+    sig = float(sigma)
+    j = j_functionals(path, params.kappa)
+    det = j.j_s * j.j_a - j.j_sa**2
+    if det <= SINGULARITY_GUARD * j.j_s * j.j_a:
+        raise SingularSystemError("normal equations singular")
+    s, e, r = path.s, path.e, path.r
+    one_minus_s = 1.0 - s
+    dt = path.dt
+    half_var = 0.5 * sig * sig
+
+    def pieces(istar):
+        u = s * istar / one_minus_s
+        v = s * istar / e
+        return (
+            float(np.sum(u[:-1] * np.diff(np.log(one_minus_s)))),
+            float(np.sum((u * (params.mu + params.gamma * r / one_minus_s
+                               + half_var))[:-1]) * dt),
+            float(np.sum(v[:-1] * np.diff(np.log(e)))),
+            float(np.sum((v * (params.mu + half_var))[:-1]) * dt),
+            float(np.sum(v[:-1]) * dt),
+        )
+
+    t1s, t2s, t3s, t4s, t5s = pieces(path.i_s)
+    t1a, t2a, t3a, t4a, t5a = pieces(path.i_a)
+    beta_s = (j.j_a * t1s + j.j_a * t2s + j.j_a * t3s + j.j_a * t4s
+              + params.kappa * j.j_a * t5s
+              - j.j_sa * t1a - j.j_sa * t2a - j.j_sa * t3a - j.j_sa * t4a
+              - params.kappa * j.j_sa * t5a) / det
+    beta_a = (-j.j_sa * t1s - j.j_sa * t2s - j.j_sa * t3s - j.j_sa * t4s
+              - params.kappa * j.j_sa * t5s
+              + j.j_s * t1a + j.j_s * t2a + j.j_s * t3a + j.j_s * t4a
+              + params.kappa * j.j_s * t5a) / det
+    return beta_s, beta_a

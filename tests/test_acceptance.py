@@ -15,14 +15,14 @@ import pytest
 
 from seirsde import (BASELINE_INIT, BASELINE_PARAMS, McmcConfig, Path,
                      PriorSpec, ReconstructConfig, SimConfig,
-                     closed_form_betas, consistency_study, cumulative_incidence,
+                     consistency_study, cumulative_incidence,
                      estimate_betas, estimate_p, estimate_sigma,
                      girsanov_loglik, metropolis, normality_test, ode_rk4,
                      replicate_estimates, residual_increments, simulate_path)
 from seirsde.reconstruct import IncidenceSeries
 from seirsde.simulate import SCHEME_MILSTEIN, simulate_batch
 
-from conftest import INTERIOR_INIT
+from conftest import INTERIOR_INIT, closed_form_betas
 
 PARAMS = BASELINE_PARAMS
 TRUTH = dict(beta_s=PARAMS.beta_s, beta_a=PARAMS.beta_a, p=PARAMS.p,

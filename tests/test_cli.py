@@ -253,6 +253,26 @@ class TestErrorMapping:
                      "--out", str(tmp_path)])
         assert code == EXIT_CODES[ConfigError]
 
+    def test_non_finite_parameter_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mu="NaN")
+        assert main(["r0", "--config", cfg]) == EXIT_CODES[ConfigError]
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command,block,key", [
+        ("simulate", {"simulate": {"dt": 1e-3}}, "n_steps"),
+        ("mc-study", {"mc_study": {"n_rep": 10}}, "horizons"),
+        ("mcmc", {"mcmc": {"burn_in": 0}}, "iterations"),
+        ("mcmc", {"mcmc": {"iterations": 10, "incidence": "cases.csv"}},
+         "population_n"),
+    ])
+    def test_missing_required_key_is_a_config_error(self, tmp_path, capsys,
+                                                    command, block, key):
+        cfg = write_config(tmp_path, **block)
+        code = main([command, "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ConfigError]
+        assert repr(key) in capsys.readouterr().err
+
     def test_distinct_exit_codes(self):
         codes = list(EXIT_CODES.values())
         assert len(codes) == len(set(codes))

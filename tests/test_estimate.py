@@ -5,13 +5,17 @@ import pytest
 
 from seirsde import (DegenerateDenominatorError, DomainError,
                      EmptyInputError, LengthMismatchError,
-                     MissingIncrementsError, Path, ReconstructConfig,
-                     SimConfig, SingularSystemError, closed_form_betas,
+                     MissingIncrementsError, Path, PositivityError,
+                     ReconstructConfig, SimConfig, SingularSystemError,
                      estimate_betas, estimate_p, estimate_path,
                      estimate_sigma, girsanov_loglik, ito_log_integral,
                      j_functionals, left_riemann, quadratic_variation,
                      replicate_estimates, simulate_path)
+from seirsde.estimate import (_CHUNK_ELEMENTS, _estimate_replicates,
+                              _kernel)
 from seirsde.simulate import simulate_batch
+
+from conftest import closed_form_betas
 
 
 def sim(params, init, n_steps=47, seed=0, dt=1e-3, **kw):
@@ -320,25 +324,54 @@ class TestGirsanov:
 class TestBatchScalarAgreement:
     def test_batch_estimates_match_single_path_functions(self, params,
                                                          interior_init):
-        from seirsde.estimate import _batch_estimates
-        x, _, failures = simulate_batch(params, interior_init, 1e-3, 300,
-                                        range(4))
+        # enough rows for three chunks, with a domain failure in the first,
+        # a failure handed in by the caller in the second and a singular
+        # system in the third
+        n_steps, dt = 300, 1e-3
+        per_chunk = _CHUNK_ELEMENTS // (n_steps + 1)
+        n_rep = 2 * per_chunk + 7
+        x, _, failures = simulate_batch(params, interior_init, dt, n_steps,
+                                        range(n_rep))
         assert not failures
-        batch = _batch_estimates(x, 1e-3, params)
-        assert not batch.failures
-        for i in range(4):
-            path = Path(0.0, 1e-3, *x[i].T, require_simplex=False)
+        domain_row, given_row, singular_row = 3, per_chunk + 1, n_rep - 2
+        x[domain_row, 17, 3] = 0.0
+        x[singular_row, :, 2] = x[singular_row, :, 3]
+        given = PositivityError(5, "e", -1.0)
+        est, ok, failures = _estimate_replicates(x, dt, params, None,
+                                                 {given_row: given})
+
+        assert sorted(failures) == [domain_row, given_row, singular_row]
+        assert isinstance(failures[domain_row], DomainError)
+        assert failures[domain_row].index == 17
+        assert failures[given_row] is given
+        assert isinstance(failures[singular_row], SingularSystemError)
+        assert list(ok) == [i for i in range(n_rep) if i not in failures]
+        for row, kind in ((domain_row, DomainError),
+                          (singular_row, SingularSystemError)):
+            with pytest.raises(kind) as err:
+                estimate_path(Path(0.0, dt, *x[row].T,
+                                   require_simplex=False), params)
+            assert str(err.value) == str(failures[row])
+
+        for k, i in enumerate(ok):
+            alone = _kernel(tuple(x[i].T), dt, params, None)
+            for name, batch_value, row_value in zip(est._fields, est, alone):
+                assert np.array_equal(batch_value[k], row_value), (i, name)
+            path = Path(0.0, dt, *x[i].T, require_simplex=False)
             sig = estimate_sigma(path)
-            assert batch.sigma[i] == pytest.approx(sig.sigma, rel=1e-12)
-            assert np.allclose(batch.sigma_components[i], sig.components,
-                               rtol=1e-12)
-            betas = estimate_betas(path, params, sigma=float(batch.sigma[i]))
-            assert batch.beta_s[i] == pytest.approx(betas.beta_s, rel=1e-9)
-            assert batch.beta_a[i] == pytest.approx(betas.beta_a, rel=1e-9)
-            p_est = estimate_p(path, params, sigma=float(batch.sigma[i]))
-            assert batch.p[i] == pytest.approx(p_est.value, rel=1e-10)
+            betas = estimate_betas(path, params)
             j = j_functionals(path, params.kappa)
-            assert batch.j_2[i] == pytest.approx(j.j_2, rel=1e-12)
+            for batch_value, scalar in (
+                    (est.sigma[k], sig.sigma),
+                    (est.beta_s[k], betas.beta_s),
+                    (est.beta_a[k], betas.beta_a),
+                    (est.condition_number[k], betas.condition_number),
+                    (est.p[k], estimate_p(path, params).value),
+                    (est.j_s[k], j.j_s), (est.j_a[k], j.j_a),
+                    (est.j_sa[k], j.j_sa), (est.j_2[k], j.j_2)):
+                assert batch_value == pytest.approx(scalar, rel=1e-10)
+            assert np.allclose(est.sigma_components[k], sig.components,
+                               rtol=1e-10, atol=0.0)
 
 
 class TestEstimatePathReport:

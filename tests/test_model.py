@@ -4,8 +4,9 @@ import pytest
 from seirsde import (BASELINE_PARAMS, DomainError, Path, SimConfig,
                      SimplexError, StateVec, ZeroSigmaError,
                      deterministic_drift, hypothesis_window, lamperti_drift,
-                     r0, sde_drift, simulate_path, step_em,
-                     stochastic_diffusion)
+                     r0, sde_drift, simulate_path, stochastic_diffusion)
+
+from conftest import one_step
 
 def random_simplex_state(rng):
     w = rng.dirichlet(np.ones(5))
@@ -26,6 +27,24 @@ class TestModelParams:
 
     def test_zero_transmission_is_allowed(self):
         BASELINE_PARAMS.replaced(beta_s=0.0, beta_a=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("build", [
+    lambda v: BASELINE_PARAMS.replaced(mu=v),
+    lambda v: BASELINE_PARAMS.replaced(beta_s=v),
+    lambda v: BASELINE_PARAMS.replaced(sigma=v),
+    lambda v: StateVec(0.9, 0.05, 0.02, 0.02, 0.01, d=v),
+    lambda v: StateVec(v, 0.05, 0.02, 0.02, 0.01),
+    lambda v: SimConfig(params=BASELINE_PARAMS,
+                        init=StateVec(0.9, 0.05, 0.02, 0.02, 0.01), dt=v,
+                        n_steps=1),
+], ids=["params-mu", "params-beta_s", "params-sigma", "state-d", "state-s",
+        "simconfig-dt"])
+def test_non_finite_values_rejected(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
 
 class TestStateVec:
     def test_rejects_off_simplex(self):
@@ -119,7 +138,7 @@ class TestLampertiDrift:
         # must reproduce drift*dt + dW to second order in the step
         cfg = SimConfig(params=params, init=interior_init, dt=1e-3, n_steps=1)
         dw = 0.005
-        x1 = step_em(interior_init, dw, cfg)
+        x1 = one_step(interior_init, dw, cfg)
         before = np.log([1.0 - interior_init.s, interior_init.e,
                          interior_init.i_a, interior_init.i_s,
                          interior_init.r])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from seirsde import (EmptySeriesError, IncidenceSeries, LengthMismatchError,
-                     ReconstructConfig, ReplicateError, SimConfig,
-                     normalize, reconstruct_latent, replicate_reconstructions,
-                     simulate_path)
+                     NegativeCountError, ReconstructConfig, ReplicateError,
+                     SimConfig, normalize, reconstruct_latent,
+                     replicate_reconstructions, simulate_path)
+from seirsde.model import INITIAL_POOL_PRIOR
 from seirsde.reconstruct import reconstruct_replicate_arrays
 
 from conftest import as_matrix
@@ -27,7 +28,7 @@ def synthetic_obs(params, interior_init):
 
 class TestIncidenceSeries:
     def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeCountError):
             IncidenceSeries(("a", "b"), (3, -1), 100)
 
     def test_rejects_population_below_counts(self):
@@ -205,7 +206,7 @@ class TestReplicates:
         paths = replicate_reconstructions(synthetic_obs, cfg, 3)
         e0 = {p.e[0] for p in paths}
         assert len(e0) == 3
-        lo, hi = cfg.initial_pool_prior
+        lo, hi = INITIAL_POOL_PRIOR
         for v in e0:
             assert lo / cfg.population_n <= v <= hi / cfg.population_n
 

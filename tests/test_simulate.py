@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -6,17 +7,20 @@ import pytest
 
 from seirsde import (ParseError, Path, PositivityError, SimConfig, StateVec,
                      WienerIncrements, draw_increments, hypothesis_window,
-                     path_from_csv, path_to_csv, sde_drift, simulate_path,
-                     step_em, step_milstein)
+                     path_from_csv, path_to_csv, sde_drift, simulate_path)
 from seirsde.simulate import (POSITIVITY_REFLECT, SCHEME_MILSTEIN,
                               simulate_batch)
 
-from conftest import as_matrix
+from conftest import as_matrix, one_step
 
 
 def cfg_for(params, init, n_steps=47, dt=1e-3, seed=0, **kw):
     return SimConfig(params=params, init=init, dt=dt, n_steps=n_steps,
                      seed=seed, **kw)
+
+
+def milstein(cfg):
+    return dataclasses.replace(cfg, scheme=SCHEME_MILSTEIN)
 
 
 class TestDrawIncrements:
@@ -38,7 +42,7 @@ class TestStepEm:
     def test_zero_noise_is_explicit_euler(self, params, baseline_init):
         p0 = params.replaced(sigma=0.0)
         cfg = cfg_for(p0, baseline_init)
-        out = step_em(baseline_init, dw=0.37, cfg=cfg)
+        out = one_step(baseline_init, dw=0.37, cfg=cfg)
         euler = baseline_init.as_array() + sde_drift(baseline_init, p0) * cfg.dt
         assert np.allclose(out.as_array(), euler, rtol=1e-15)
 
@@ -49,14 +53,14 @@ class TestStepEm:
             x = StateVec(*w, tol=1e-9)
             dw = float(rng.normal(0, 0.05))
             cfg = cfg_for(params, x)
-            out = step_em(x, dw, cfg)
+            out = one_step(x, dw, cfg)
             assert abs(sum(out.as_array()) - sum(x.as_array())) <= 1e-13
 
     def test_hand_expanded_one_step(self, params, baseline_init):
         # frozen from a 40-digit decimal expansion of each update line
         # at dW = +0.01, dt = 1e-3
         cfg = cfg_for(params, baseline_init)
-        out = step_em(baseline_init, 0.01, cfg)
+        out = one_step(baseline_init, 0.01, cfg)
         assert out.s == pytest.approx(0.9999859453132889, rel=5e-13)
         assert out.e == pytest.approx(7.505764994829614e-06, rel=5e-13)
         assert out.i_a == pytest.approx(3.749854761592166e-06, rel=5e-13)
@@ -64,16 +68,17 @@ class TestStepEm:
         assert out.r == pytest.approx(8.869837481579721e-10, rel=5e-13)
 
     def test_reject_policy_raises_with_step_index(self, params, baseline_init):
-        # dW = +0.5 with sigma = 5 drives E multiplicatively below zero
+        # dW = +0.5 with sigma = 5 drives E multiplicatively below zero; the
+        # thirteen quiet steps before it stay inside the simplex
         cfg = cfg_for(params.replaced(sigma=5.0), baseline_init)
         with pytest.raises(PositivityError) as err:
-            step_em(baseline_init, 0.5, cfg, step_index=13)
+            one_step(baseline_init, 0.5, cfg, step_index=13)
         assert err.value.step == 13
 
     def test_reflect_policy_clamps(self, params, baseline_init):
         cfg = cfg_for(params.replaced(sigma=5.0), baseline_init,
                       positivity=POSITIVITY_REFLECT)
-        out = step_em(baseline_init, 0.5, cfg)
+        out = one_step(baseline_init, 0.5, cfg)
         assert min(out.as_array()) >= 1e-12
         assert max(out.as_array()) <= 1.0 - 1e-12
 
@@ -81,8 +86,8 @@ class TestStepEm:
 class TestStepMilstein:
     def test_zero_noise_equals_em(self, params, baseline_init):
         cfg = cfg_for(params.replaced(sigma=0.0), baseline_init)
-        a = step_em(baseline_init, 0.2, cfg)
-        b = step_milstein(baseline_init, 0.2, cfg)
+        a = one_step(baseline_init, 0.2, cfg)
+        b = one_step(baseline_init, 0.2, milstein(cfg))
         assert np.array_equal(a.as_array(), b.as_array())
 
     def test_vanishing_correction_when_dw_squares_to_dt(self, params,
@@ -91,16 +96,16 @@ class TestStepMilstein:
         dt = 2.0**-12
         cfg = cfg_for(params, baseline_init, dt=dt)
         dw = 2.0**-6
-        a = step_em(baseline_init, dw, cfg)
-        b = step_milstein(baseline_init, dw, cfg)
+        a = one_step(baseline_init, dw, cfg)
+        b = one_step(baseline_init, dw, milstein(cfg))
         assert np.array_equal(a.as_array(), b.as_array())
 
     def test_correction_matches_independent_expression(self, params):
         x = StateVec(0.9, 0.05, 0.02, 0.02, 0.01)
         sig, dw, dt = 0.05, 0.02, 1e-3
         cfg = cfg_for(params.replaced(sigma=sig), x, dt=dt)
-        em = step_em(x, dw, cfg).as_array()
-        mil = step_milstein(x, dw, cfg).as_array()
+        em = one_step(x, dw, cfg).as_array()
+        mil = one_step(x, dw, milstein(cfg)).as_array()
         factor = 0.5 * sig**2 * (dw**2 - dt)
         expected = factor * np.array([-(1 - x.s), x.e, x.i_a, x.i_s, x.r])
         assert np.allclose(mil - em, expected, rtol=1e-10)
@@ -110,8 +115,8 @@ class TestStepMilstein:
         # S and E corrections at dW=0.02, sigma=0.05, dt=1e-3, frozen from
         # the decimal evaluation
         cfg = cfg_for(params.replaced(sigma=0.05), baseline_init, dt=1e-3)
-        delta = (step_milstein(baseline_init, 0.02, cfg).as_array()
-                 - step_em(baseline_init, 0.02, cfg).as_array())
+        delta = (one_step(baseline_init, 0.02, milstein(cfg)).as_array()
+                 - one_step(baseline_init, 0.02, cfg).as_array())
         assert delta[0] == pytest.approx(1.054051025268954e-11, rel=1e-10)
         assert delta[1] == pytest.approx(-5.6294314730176106e-12, rel=1e-10)
 
