@@ -8,7 +8,6 @@ the incubation rate under a uniform/gamma prior pair.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import DomainError, LengthMismatchError
 from .model import ModelParams, Path, StateVec
 from .reconstruct import IncidenceSeries
-from .simulate import _generator
+from .simulate import _generator, _write_rows
 
 
 @dataclass(frozen=True)
@@ -249,15 +248,5 @@ def accept_probability(log_post_new: float, log_post_old: float) -> float:
 
 
 def samples_to_csv(result: McmcResult, target) -> None:
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "p", "kappa", "loglik"])
-        for it, p_, k_, ll in zip(result.iters, result.p, result.kappa,
-                                  result.loglik):
-            writer.writerow([int(it), f"{p_:.17g}", f"{k_:.17g}",
-                             f"{ll:.17g}"])
-    finally:
-        if own:
-            fh.close()
+    _write_rows(target, ["iter", "p", "kappa", "loglik"],
+                [result.iters, result.p, result.kappa, result.loglik])

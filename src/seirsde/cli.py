@@ -135,6 +135,12 @@ def _need_seed(args):
     return args.seed
 
 
+def _write_json(target, obj) -> None:
+    with open(target, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def _outdir(args) -> FilePath:
     out = FilePath(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,9 +213,7 @@ def _cmd_reconstruct(args):
     manifest = {"n_rep": n_rep, "seed": seed,
                 "rng_algorithm": simulate.RNG_ALGORITHM,
                 "pedantic_paper": args.pedantic_paper, "files": files}
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
     print(f"wrote {n_rep} reconstruction(s) and manifest to {out}")
     return 0
 
@@ -234,9 +238,7 @@ def _cmd_estimate(args):
                                               int(block.get("n_rep", 2)),
                                               sigma=sigma)
     target = _outdir(args) / block.get("output", "estimate.json")
-    with open(target, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_json(target, report.to_json_dict())
     print(f"wrote {target}")
     return 0
 
@@ -252,18 +254,12 @@ def _cmd_validate(args):
     verdict = diagnostics.normality_test(res.standardized,
                                          alpha=float(block.get("alpha", 0.01)))
     out = _outdir(args)
-    with open(out / "residuals.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "raw", "standardized"])
-        times = path.times
-        for k in range(len(res)):
-            writer.writerow([f"{times[k + 1]:.17g}", f"{res.raw[k]:.17g}",
-                             f"{res.standardized[k]:.17g}"])
+    simulate._write_rows(str(out / "residuals.csv"),
+                         ["t", "raw", "standardized"],
+                         [path.times[1:], res.raw, res.standardized])
     diagnostics.qq_to_csv(diagnostics.qq_points(res.standardized),
                           str(out / "qq.csv"))
-    with open(out / "normality.json", "w") as fh:
-        json.dump(verdict.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "normality.json", verdict.to_json_dict())
     print(f"wrote residuals.csv, qq.csv, normality.json to {out}; "
           f"normality pass = {verdict.passed}")
     return 0

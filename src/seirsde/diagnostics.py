@@ -8,7 +8,6 @@ is available as ``method="log"`` and agrees with it to O(dt^1.5) per step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
                      WindowViolatedError, ZeroSigmaError)
 from .estimate import _estimate_replicates
 from .model import ModelParams, Path, StateVec
-from .simulate import simulate_batch
+from .simulate import _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
 _CHI2_2_CRITICAL = {0.01: 9.21034037197618, 0.05: 5.991464547107979}
@@ -251,31 +250,12 @@ def consistency_study(truth: ModelParams, init: StateVec,
 
 
 def qq_to_csv(points: np.ndarray, target) -> None:
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["theoretical", "empirical"])
-        for theo, emp in points:
-            writer.writerow([f"{theo:.17g}", f"{emp:.17g}"])
-    finally:
-        if own:
-            fh.close()
+    _write_rows(target, ["theoretical", "empirical"], points.T)
 
 
 def consistency_to_csv(rows: Sequence[ConsistencyRow], target) -> None:
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "abs_err_beta_s", "abs_err_beta_a",
-                         "abs_err_p", "window_violation_rate"])
-        for row in rows:
-            writer.writerow([f"{row.horizon:.17g}",
-                             f"{row.abs_err_beta_s:.17g}",
-                             f"{row.abs_err_beta_a:.17g}",
-                             f"{row.abs_err_p:.17g}",
-                             f"{row.window_violation_rate:.17g}"])
-    finally:
-        if own:
-            fh.close()
+    _write_rows(target, ["T", "abs_err_beta_s", "abs_err_beta_a",
+                         "abs_err_p", "window_violation_rate"],
+                [[getattr(r, f) for r in rows]
+                 for f in ("horizon", "abs_err_beta_s", "abs_err_beta_a",
+                           "abs_err_p", "window_violation_rate")])

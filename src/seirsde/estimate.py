@@ -10,7 +10,6 @@ proportion has its own closed form; all three accept a known sigma instead.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -20,8 +19,7 @@ import numpy as np
 from .errors import (DegenerateDenominatorError, DomainError, EmptyInputError,
                      LengthMismatchError, MissingIncrementsError,
                      ReplicateError, SingularSystemError)
-from .model import (HypothesisWindow, ModelParams, Path, hypothesis_window,
-                    window_end_index)
+from .model import HypothesisWindow, ModelParams, Path, hypothesis_window
 from .reconstruct import ReconstructConfig, reconstruct_replicate_arrays
 from .simulate import WienerIncrements
 
@@ -393,7 +391,7 @@ def _maybe_truncate(path: Path, restrict: bool,
         return path
     if window is None:
         window = hypothesis_window(path)
-    end = window_end_index(path, window)
+    end = int(round((window.t_end - path.t0) / path.dt))
     if end + 1 < len(path):
         warnings.warn(
             f"growth window ends at grid index {end}; estimating on the "
@@ -435,9 +433,6 @@ class EstimateReport:
                        "satisfied": self.window.satisfied},
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
 
 # Rows go through the kernel about this many grid values per compartment at
 # a time. A whole (n_rep, n, 5) block at once needs dozens of temporaries of
@@ -456,6 +451,8 @@ def _estimate_replicates(x: np.ndarray, dt: float, params: ModelParams,
     positivity or singularity guard joins them. Returns the estimates of
     the kept rows, their indices and all failures.
     """
+    if sigma is not None and sigma < 0:
+        raise ValueError("sigma must be nonnegative")
     n_rep, n, _ = x.shape
     per_chunk = max(1, _CHUNK_ELEMENTS // n)
     failures = dict(failures)

@@ -325,11 +325,6 @@ def hypothesis_window(path: Path) -> HypothesisWindow:
     return HypothesisWindow(path.t0, path.t0 + path.dt * k_end, True)
 
 
-def window_end_index(path: Path, window: HypothesisWindow) -> int:
-    """Grid index of the window end on the path's grid."""
-    return int(round((window.t_end - path.t0) / path.dt))
-
-
 # Baseline calibration for the Mexico City COVID-19 outbreak of spring 2020
 # (population 26 446 435, 47 daily records from March 10).
 MEXICO_CITY_POPULATION = 26_446_435

@@ -9,7 +9,7 @@ is reproducible end to end.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -206,75 +206,95 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# Path CSV interface: header t,S,E,Ia,Is,R[,dW], full double precision.
+# CSV artifacts. Every CSV the package writes goes through ``_write_rows``;
+# the format is described once, in the README's "Artifact formats".
+
+_PATH_HEADER = ["t", "S", "E", "Ia", "Is", "R"]
+# rows formatted per write; bounds the Python floats alive at once
+_ROWS_PER_WRITE = 4096
+
+
+def _opened(target, mode):
+    """``target`` itself if it is a file object, else the file it names."""
+    if isinstance(target, (str, bytes)):
+        return open(target, mode, newline="")
+    return contextlib.nullcontext(target)
+
+
+def _write_rows(target, header, columns) -> None:
+    """Write ``header`` and one row per value of the first column; a column
+    one value shorter leaves its field of the final row empty."""
+    cols = [np.asarray(c) for c in columns]
+    n = len(cols[0])
+    row = ",".join(["%.17g"] * len(cols)) + "\r\n"
+    with _opened(target, "w") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _ROWS_PER_WRITE):
+            fh.writelines(row % r for r in zip(
+                *(c[lo:lo + _ROWS_PER_WRITE].tolist() for c in cols)))
+        if any(len(c) < n for c in cols):  # zip stopped a row short
+            fh.write(",".join("%.17g" % c[-1] if len(c) == n else ""
+                              for c in cols) + "\r\n")
+
 
 def path_to_csv(path: Path, target) -> None:
-    """Write one row per grid point with 17 significant digits."""
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", newline="") if own else target
-    try:
-        has_w = path.wiener is not None
-        writer = csv.writer(fh)
-        writer.writerow(["t", "S", "E", "Ia", "Is", "R"] + (["dW"] if has_w else []))
-        times = path.times
-        for k in range(len(path)):
-            row = [f"{times[k]:.17g}", f"{path.s[k]:.17g}", f"{path.e[k]:.17g}",
-                   f"{path.i_a[k]:.17g}", f"{path.i_s[k]:.17g}",
-                   f"{path.r[k]:.17g}"]
-            if has_w:
-                row.append(f"{path.wiener[k]:.17g}" if k < len(path) - 1 else "")
-            writer.writerow(row)
-    finally:
-        if own:
-            fh.close()
+    """Write ``path`` to a file name or text file object."""
+    header = _PATH_HEADER
+    cols = [path.times, path.s, path.e, path.i_a, path.i_s, path.r]
+    if path.wiener is not None:
+        header, cols = header + ["dW"], cols + [path.wiener]
+    _write_rows(target, header, cols)
+
+
+def _raise_first_bad_line(body: list, n_fields: int) -> None:
+    """Raise ``ParseError`` naming the first malformed line of a path CSV
+    body; the body starts at line 2."""
+    for lineno, line in enumerate(body, start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != n_fields:
+            raise ParseError(f"expected {n_fields} fields", line=lineno)
+        if fields[6:] == [""]:
+            raise ParseError("missing dW value before the final row",
+                             line=lineno)
+        try:
+            list(map(float, fields))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
 
 
 def path_from_csv(source, require_simplex: bool = True) -> Path:
-    """Read a path written by ``path_to_csv``; exact round trip."""
-    own = isinstance(source, (str, bytes))
-    fh = open(source, "r", newline="") if own else source
-    try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        base = ["t", "S", "E", "Ia", "Is", "R"]
-        if header[:6] != base or header[6:] not in ([], ["dW"]):
-            raise ParseError(f"unexpected header {header!r}", line=1)
-        has_w = header[6:] == ["dW"]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields", line=lineno)
-            try:
-                vals = [float(v) for v in row[:6]]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            w = None
-            if has_w and row[6] != "":
-                try:
-                    w = float(row[6])
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
-            rows.append((vals, w))
-    finally:
-        if own:
-            fh.close()
-    if not rows:
+    """Read a path written by ``path_to_csv``; exact round trip.
+
+    Blank lines are skipped. The body is parsed in one numpy pass; only
+    when that fails is it read line by line, to name the first bad line.
+    """
+    with _opened(source, "r") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("empty file", line=1)
+    header = lines[0].split(",")
+    if header[:6] != _PATH_HEADER or header[6:] not in ([], ["dW"]):
+        raise ParseError(f"unexpected header {header!r}", line=1)
+    body = lines[1:]
+    while body and not body[-1]:
+        body.pop()
+    if not body:
         raise ParseError("no data rows", line=2)
-    if len(rows) == 1:
+    if len(header) == 7 and body[-1].endswith(","):
+        body[-1] += "nan"  # the final row closes no step, so has no dW
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"expected {len(header)} fields")
+    except ValueError as exc:
+        _raise_first_bad_line(body, len(header))
+        raise ParseError(str(exc)) from None
+    if len(data) == 1:
         raise ParseError("cannot recover dt from a single grid point", line=2)
-    data = np.array([v for v, _ in rows])
     t = data[:, 0]
-    wiener = None
-    if has_w:
-        w_vals = [w for _, w in rows[:-1]]
-        if any(w is None for w in w_vals):
-            raise ParseError("missing dW value before the final row")
-        wiener = np.array(w_vals)
+    wiener = data[:-1, 6] if len(header) == 7 else None
     return Path(float(t[0]), float(t[1] - t[0]), data[:, 1], data[:, 2],
                 data[:, 3], data[:, 4], data[:, 5], wiener=wiener,
                 rng_algorithm=None, require_simplex=require_simplex)

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -92,3 +94,25 @@ def closed_form_betas(path, params, sigma):
               + j.j_s * t1a + j.j_s * t2a + j.j_s * t3a + j.j_s * t4a
               + params.kappa * j.j_s * t5a) / det
     return beta_s, beta_a
+
+
+def reference_path_csv(path):
+    """The path CSV as ``csv.writer`` writes it from f-string fields.
+
+    The oracle for the byte format of ``path_to_csv``: header
+    t,S,E,Ia,Is,R[,dW], 17 significant digits, CRLF line ends and an
+    empty dW on the final row.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    has_w = path.wiener is not None
+    writer.writerow(["t", "S", "E", "Ia", "Is", "R"] + ["dW"] * has_w)
+    times = path.times
+    for k in range(len(path)):
+        row = [f"{times[k]:.17g}", f"{path.s[k]:.17g}", f"{path.e[k]:.17g}",
+               f"{path.i_a[k]:.17g}", f"{path.i_s[k]:.17g}",
+               f"{path.r[k]:.17g}"]
+        if has_w:
+            row.append(f"{path.wiener[k]:.17g}" if k < len(path) - 1 else "")
+        writer.writerow(row)
+    return buf.getvalue()

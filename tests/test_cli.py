@@ -253,6 +253,20 @@ class TestErrorMapping:
                      "--out", str(tmp_path)])
         assert code == EXIT_CODES[ConfigError]
 
+    def test_negative_known_sigma_on_replicates_is_a_config_error(
+            self, tmp_path, capsys):
+        series = tmp_path / "cases.csv"
+        series.write_text("date,count\n" + "".join(
+            f"d{k},{500000 + 2000 * k}\n" for k in range(40)))
+        cfg = write_config(tmp_path, estimate={
+            "incidence": str(series), "population_n": 26_446_435,
+            "n_rep": 4, "dt": 1e-3, "known_sigma": -0.01,
+            "init_e": 0.04, "init_ia": 0.027, "init_r": 0.053})
+        code = main(["estimate", "--config", cfg, "--seed", "9",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ConfigError]
+        assert "sigma must be nonnegative" in capsys.readouterr().err
+
     def test_non_finite_parameter_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mu="NaN")
         assert main(["r0", "--config", cfg]) == EXIT_CODES[ConfigError]

@@ -205,6 +205,11 @@ class TestConsistencyStudy:
             consistency_study(dying, interior_init, [0.04], 5, dt=1e-3,
                               seed=0, sigma=0.01)
 
+    def test_negative_known_sigma_rejected(self, params, interior_init):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            consistency_study(params, interior_init, [0.02], 20, dt=1e-3,
+                              seed=3, sigma=-0.01)
+
     def test_rows_report_violation_rates(self, params, interior_init):
         rows = consistency_study(params, interior_init, [0.02, 0.04], 20,
                                  dt=1e-3, seed=3)

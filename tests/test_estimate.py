@@ -427,6 +427,12 @@ class TestReplicateEstimates:
         for block in payload["ci"].values():
             assert block["lo"] <= block["hi"]
 
+    def test_negative_known_sigma_rejected(self, params, interior_init):
+        obs = sim(params, interior_init, n_steps=200, seed=21).i_s
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            replicate_estimates(obs, self.cfg(params, interior_init), 4,
+                                sigma=-0.01)
+
     def test_aggregates_replicate_failures(self, params, interior_init):
         obs = sim(params, interior_init, n_steps=46, seed=3).i_s
         wild = params.replaced(sigma=30.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seirsde import (ParseError, Path, PositivityError, SimConfig, StateVec,
                      WienerIncrements, draw_increments, hypothesis_window,
@@ -11,7 +13,7 @@ from seirsde import (ParseError, Path, PositivityError, SimConfig, StateVec,
 from seirsde.simulate import (POSITIVITY_REFLECT, SCHEME_MILSTEIN,
                               simulate_batch)
 
-from conftest import as_matrix, one_step
+from conftest import as_matrix, one_step, reference_path_csv
 
 
 def cfg_for(params, init, n_steps=47, dt=1e-3, seed=0, **kw):
@@ -224,6 +226,31 @@ class TestStrongOrder:
             assert means[0] > means[1] > means[2], (scheme, means)
 
 
+HEADER = "t,S,E,Ia,Is,R,dW"
+ROW = "0.{k},0.9,0.05,0.02,0.02,0.01,{w}"
+
+
+def csv_text(rows, eol):
+    return eol.join([HEADER] + rows) + eol
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def paths(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    cols = [draw(st.lists(finite, min_size=n, max_size=n)) for _ in range(5)]
+    wiener = draw(st.none() | st.lists(finite, min_size=n - 1,
+                                       max_size=n - 1))
+    dt = draw(st.floats(min_value=5e-324, max_value=1e300))
+    return Path(0.0, dt, *cols, wiener=wiener, require_simplex=False)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
 class TestPathCsv:
     def test_round_trip_exact(self, params, baseline_init):
         path = simulate_path(cfg_for(params, baseline_init, seed=17))
@@ -235,15 +262,41 @@ class TestPathCsv:
         assert np.array_equal(as_matrix(back), as_matrix(path))
         assert np.array_equal(back.wiener, path.wiener)
 
-    def test_round_trip_without_increments(self):
+    @settings(max_examples=200, deadline=None)
+    @given(paths())
+    @example(Path(0.0, 5e-324, [-0.0, 1e308], [5e-324, -1e308],
+                  [2.2250738585072014e-308, 1.7976931348623157e308],
+                  [-5e-324, 0.1], [1 / 3, -0.0], wiener=[-0.0],
+                  require_simplex=False))
+    def test_bytes_match_csv_module_and_round_trip_bitwise(self, path):
+        buf = io.StringIO()
+        path_to_csv(path, buf)
+        assert buf.getvalue() == reference_path_csv(path)
+        buf.seek(0)
+        back = path_from_csv(buf, require_simplex=False)
+        assert back.t0 == 0.0 and back.dt == path.dt
+        for name in ("s", "e", "i_a", "i_s", "r"):
+            assert bits(getattr(back, name)) == bits(getattr(path, name))
+        if path.wiener is None:
+            assert back.wiener is None
+        else:
+            assert bits(back.wiener) == bits(path.wiener)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("blank", [False, True], ids=["packed", "blank"])
+    def test_round_trip_without_increments(self, eol, blank):
         path = Path(0.0, 0.5, [0.9, 0.89], [0.05, 0.055], [0.02, 0.022],
                     [0.02, 0.021], [0.01, 0.012])
         buf = io.StringIO()
         path_to_csv(path, buf)
         text = buf.getvalue()
         assert text.splitlines()[0] == "t,S,E,Ia,Is,R"
-        buf.seek(0)
-        back = path_from_csv(buf, require_simplex=False)
+        lines = text.splitlines()
+        if blank:  # blank lines mid-body and at the end are skipped
+            lines[2:2] = [""]
+            lines.append("")
+        back = path_from_csv(io.StringIO(eol.join(lines) + eol),
+                             require_simplex=False)
         assert np.array_equal(as_matrix(back), as_matrix(path))
         assert back.wiener is None
 
@@ -251,12 +304,24 @@ class TestPathCsv:
         with pytest.raises(ParseError):
             path_from_csv(io.StringIO("time,S,E,Ia,Is,R\n"))
 
-    def test_non_numeric_field_names_line(self):
-        buf = io.StringIO("t,S,E,Ia,Is,R\n0,0.9,0.05,0.02,0.02,0.01\n"
-                          "0.1,oops,0.05,0.02,0.02,0.01\n")
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("rows,line", [
+        ([ROW.format(k=0, w=0.1), "0.1,oops,0.05,0.02,0.02,0.01,0.1",
+          ROW.format(k=2, w="")], 3),
+        ([ROW.format(k=0, w=0.1), ROW.format(k=1, w=0.1),
+          "0.2,0.9,0.05,0.02,0.02,0.1", ROW.format(k=3, w="")], 4),
+        ([ROW.format(k=0, w=0.1), ROW.format(k=1, w="x"),
+          ROW.format(k=2, w="")], 3),
+        ([ROW.format(k=0, w=0.1), ROW.format(k=1, w=""),
+          ROW.format(k=2, w="")], 3),
+        ([ROW.format(k=0, w=0.1), "", ROW.format(k=1, w="0.1,0.1"),
+          ROW.format(k=2, w="")], 4),
+    ], ids=["non-numeric-S", "field-count", "non-numeric-dW",
+            "empty-dW-before-final", "after-blank"])
+    def test_malformed_line_is_named(self, rows, line, eol):
         with pytest.raises(ParseError) as err:
-            path_from_csv(buf)
-        assert err.value.line == 3
+            path_from_csv(io.StringIO(csv_text(rows, eol)))
+        assert err.value.line == line
 
     def test_single_row_rejected(self):
         with pytest.raises(ParseError):
