@@ -23,13 +23,10 @@ from .errors import (ConfigError, DegenerateDenominatorError,
 from .estimate import (BetaEstimate, EstimateReport, JFunctionals, PEstimate,
                        SigmaEstimate, estimate_betas, estimate_p,
                        estimate_path, estimate_sigma, girsanov_loglik,
-                       ito_log_integral, j_functionals, left_riemann,
-                       quadratic_variation, replicate_estimates)
+                       j_functionals, replicate_estimates)
 from .model import (BASELINE_INIT, BASELINE_PARAMS, MEXICO_CITY_POPULATION,
                     HypothesisWindow, ModelParams, Path, StateVec,
-                    deterministic_drift, force_of_infection,
-                    hypothesis_window, lamperti_drift, r0, sde_drift,
-                    stochastic_diffusion)
+                    hypothesis_window, r0)
 from .reconstruct import (IncidenceSeries, ReconstructConfig, normalize,
                           reconstruct_latent, replicate_reconstructions)
 from .simulate import (SCHEME_EULER, SCHEME_MILSTEIN, SimConfig,

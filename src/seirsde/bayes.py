@@ -240,13 +240,6 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
                       n_accept / cfg.iterations)
 
 
-def accept_probability(log_post_new: float, log_post_old: float) -> float:
-    """Metropolis acceptance probability min(1, ratio)."""
-    if log_post_new >= log_post_old:
-        return 1.0
-    return math.exp(log_post_new - log_post_old)
-
-
 def samples_to_csv(result: McmcResult, target) -> None:
     _write_rows(target, ["iter", "p", "kappa", "loglik"],
                 [result.iters, result.p, result.kappa, result.loglik])

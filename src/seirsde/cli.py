@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path as FilePath
@@ -40,7 +41,9 @@ EXIT_CODES = {
 _PARAM_FIELDS = ("mu", "beta_s", "beta_a", "kappa", "p", "theta",
                  "alpha_a", "alpha_s", "gamma", "sigma")
 
-_STOCHASTIC = {"simulate", "reconstruct", "mc-study", "mcmc"}
+# grid step in days for the simulate, reconstruct, estimate and mc-study
+# blocks that do not give one
+_DEFAULT_DT = 1e-3
 
 
 def load_incidence(path, population_n: int) -> reconstruct.IncidenceSeries:
@@ -162,7 +165,7 @@ def _cmd_simulate(args):
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     sim_cfg = simulate.SimConfig(
         params=params, init=init,
-        dt=float(block.get("dt", 1e-3)),
+        dt=float(block.get("dt", _DEFAULT_DT)),
         n_steps=int(_required(block, "simulate", "n_steps")),
         scheme=block.get("scheme", simulate.SCHEME_EULER),
         seed=_need_seed(args),
@@ -182,7 +185,7 @@ def _reconstruct_config(cfg, block, seed, pedantic) -> reconstruct.ReconstructCo
         init_e=float(block.get("init_e", model.BASELINE_INIT.e)),
         init_ia=float(block.get("init_ia", model.BASELINE_INIT.i_a)),
         init_r=float(block.get("init_r", model.BASELINE_INIT.r)),
-        dt=float(block.get("dt", 1e-3)),
+        dt=float(block.get("dt", _DEFAULT_DT)),
         seed=seed,
         pedantic_paper=pedantic,
         resample_initials=bool(block.get("resample_initials", False)),
@@ -275,7 +278,7 @@ def _cmd_mc_study(args):
         params, init,
         [float(t) for t in _required(block, "mc_study", "horizons")],
         n_rep=int(block.get("n_rep", 200)),
-        dt=float(block.get("dt", 1e-3)),
+        dt=float(block.get("dt", _DEFAULT_DT)),
         seed=_need_seed(args),
         sigma=None if sigma is None else float(sigma))
     target = _outdir(args) / block.get("output", "consistency.csv")
@@ -293,11 +296,11 @@ def _cmd_mcmc(args):
         series = load_incidence(block["incidence"],
                                 int(_required(block, "mcmc", "population_n")))
     priors_block = block.get("priors", {})
-    priors = bayes.PriorSpec(
-        p_lo=float(priors_block.get("p_lo", 0.3)),
-        p_hi=float(priors_block.get("p_hi", 0.8)),
-        kappa_shape=float(priors_block.get("kappa_shape", 10.0)),
-        kappa_rate=float(priors_block.get("kappa_rate", 50.0)))
+    unknown = sorted(set(priors_block)
+                     - {f.name for f in dataclasses.fields(bayes.PriorSpec)})
+    if unknown:
+        raise errors.ConfigError(f"unknown prior keys: {unknown}")
+    priors = bayes.PriorSpec(**{k: float(v) for k, v in priors_block.items()})
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     mcfg = bayes.McmcConfig(
         iterations=int(_required(block, "mcmc", "iterations")),
@@ -305,7 +308,7 @@ def _cmd_mcmc(args):
         proposal_sd=tuple(float(s) for s in block.get("proposal_sd",
                                                       (0.02, 0.01))),
         seed=_need_seed(args),
-        ode_dt=float(block.get("ode_dt", 1.0)))
+        ode_dt=float(block.get("ode_dt", bayes.McmcConfig.ode_dt)))
     result = bayes.metropolis(series, priors, params, init, mcfg)
     target = _outdir(args) / block.get("output", "samples.csv")
     bayes.samples_to_csv(result, str(target))

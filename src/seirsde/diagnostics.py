@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
                      WindowViolatedError, ZeroSigmaError)
-from .estimate import _estimate_replicates
-from .model import ModelParams, Path, StateVec
+from .estimate import _check_known_sigma, _estimate_replicates
+from .model import ModelParams, Path, StateVec, _growth_pointwise
 from .simulate import _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
@@ -196,10 +196,7 @@ class ConsistencyRow:
 def _full_window_mask(x: np.ndarray) -> np.ndarray:
     """Per-replicate: does the growth window cover the whole horizon?"""
     s, e, ia, is_ = x[:, :, 0], x[:, :, 1], x[:, :, 2], x[:, :, 3]
-    pointwise = (np.all(s[:, 1:] < s[:, [0]], axis=1)
-                 & np.all(e[:, 1:] > e[:, [0]], axis=1)
-                 & np.all(ia[:, 1:] > ia[:, [0]], axis=1)
-                 & np.all(is_[:, 1:] > is_[:, [0]], axis=1))
+    pointwise = np.all(_growth_pointwise(s, e, ia, is_), axis=1)
     end_is_min = np.all(s[:, [-1]] <= s[:, 1:], axis=1)
     return pointwise & end_is_min
 
@@ -221,6 +218,7 @@ def consistency_study(truth: ModelParams, init: StateVec,
     horizons = list(horizons)
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
+    _check_known_sigma(sigma)
     rows = []
     for h, horizon in enumerate(horizons):
         n_steps = int(round(horizon / dt))

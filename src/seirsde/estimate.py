@@ -16,52 +16,16 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateDenominatorError, DomainError, EmptyInputError,
+from .errors import (DegenerateDenominatorError, DomainError,
                      LengthMismatchError, MissingIncrementsError,
                      ReplicateError, SingularSystemError)
 from .model import HypothesisWindow, ModelParams, Path, hypothesis_window
-from .reconstruct import ReconstructConfig, reconstruct_replicate_arrays
+from .reconstruct import (ReconstructConfig, _row_path,
+                          reconstruct_replicate_arrays)
 from .simulate import WienerIncrements
 
 DENOMINATOR_GUARD = 1e-30
 SINGULARITY_GUARD = 1e-12
-
-
-def left_riemann(values: Sequence[float], dt: float) -> float:
-    """Left-point rectangle sum: every supplied value times dt.
-
-    Callers integrating over a path grid pass the integrand without its
-    terminal point.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        raise EmptyInputError("nothing to integrate")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return float(vals.sum() * dt)
-
-
-def ito_log_integral(f: Sequence[float], x: Sequence[float]) -> float:
-    """Left-point Ito sum of f against the increments of log x."""
-    f_arr = np.asarray(f, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    if f_arr.shape != x_arr.shape:
-        raise LengthMismatchError("f and x must have equal length")
-    if f_arr.size < 2:
-        raise LengthMismatchError("need at least two points")
-    if np.any(x_arr <= 0.0):
-        idx = int(np.argmax(x_arr <= 0.0))
-        raise DomainError(f"x must be strictly positive, got {x_arr[idx]!r}",
-                          index=idx)
-    return float(np.sum(f_arr[:-1] * np.diff(np.log(x_arr))))
-
-
-def quadratic_variation(x: Sequence[float]) -> float:
-    """Sum of squared increments of x."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size < 2:
-        raise LengthMismatchError("need at least two points")
-    return float(np.sum(np.diff(arr) ** 2))
 
 
 class SigmaEstimate(NamedTuple):
@@ -260,12 +224,21 @@ def _need_two_points(path: Path) -> None:
         raise LengthMismatchError("need at least two grid points")
 
 
+def _check_known_sigma(sigma: Optional[float]) -> None:
+    if sigma is not None and sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+
+
+def _clamp_p(p: float) -> tuple:
+    """``p`` clamped to [0, 1], and whether it lay outside."""
+    return min(max(p, 0.0), 1.0), not 0.0 <= p <= 1.0
+
+
 def _path_estimates(path: Path, params: ModelParams, sigma: Optional[float],
                     singular: bool, j_2: bool) -> _Estimates:
     """The kernel on one path; raises the first guard it fails, the sigma
     denominators first when sigma is estimated."""
-    if sigma is not None and sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    _check_known_sigma(sigma)
     _need_two_points(path)
     cols = _columns(path)
     est = _kernel(cols, path.dt, params, sigma)
@@ -322,8 +295,7 @@ def estimate_p(path: Path, params: ModelParams,
     path = _maybe_truncate(path, restrict_to_window)
     est = _path_estimates(path, params, sigma, singular=False, j_2=True)
     value = float(est.p)
-    return PEstimate(value, min(max(value, 0.0), 1.0),
-                     not 0.0 <= value <= 1.0)
+    return PEstimate(value, *_clamp_p(value))
 
 
 def girsanov_loglik(path: Path, theta: Sequence[float],
@@ -374,9 +346,10 @@ def estimate_path(path: Path, params: ModelParams,
     work = _maybe_truncate(path, restrict_to_window, window)
     est = _path_estimates(work, params, sigma, singular=True, j_2=True)
     p = float(est.p)
+    p_clamped, p_out_of_range = _clamp_p(p)
     return EstimateReport(
         beta_s=float(est.beta_s), beta_a=float(est.beta_a), p=p,
-        p_clamped=min(max(p, 0.0), 1.0), p_out_of_range=not 0.0 <= p <= 1.0,
+        p_clamped=p_clamped, p_out_of_range=p_out_of_range,
         sigma=float(est.sigma),
         sigma_components=est.sigma_components if sigma is None else None,
         j=JFunctionals(float(est.j_s), float(est.j_a), float(est.j_sa),
@@ -449,10 +422,9 @@ def _estimate_replicates(x: np.ndarray, dt: float, params: ModelParams,
 
     Rows already in ``failures`` are not estimated; a row failing the
     positivity or singularity guard joins them. Returns the estimates of
-    the kept rows, their indices and all failures.
+    the kept rows, their indices and all failures. Callers check a known
+    ``sigma`` before producing ``x``.
     """
-    if sigma is not None and sigma < 0:
-        raise ValueError("sigma must be nonnegative")
     n_rep, n, _ = x.shape
     per_chunk = max(1, _CHUNK_ELEMENTS // n)
     failures = dict(failures)
@@ -478,6 +450,7 @@ def replicate_estimates(obs_is, cfg: ReconstructConfig, n_rep: int,
     """
     if n_rep < 2:
         raise ValueError("n_rep must be at least 2")
+    _check_known_sigma(sigma)
     x, dw, failures = reconstruct_replicate_arrays(obs_is, cfg, n_rep)
     est, ok, failures = _estimate_replicates(x, cfg.dt, cfg.params, sigma,
                                              failures)
@@ -492,17 +465,13 @@ def replicate_estimates(obs_is, cfg: ReconstructConfig, n_rep: int,
     ba_mean, ba_ci = summary(est.beta_a)
     p_mean, p_ci = summary(est.p)
     sg_mean, sg_ci = summary(est.sigma)
-    first = int(ok[0])
-    first_path = Path(0.0, cfg.dt, x[first, :, 0], x[first, :, 1],
-                      x[first, :, 2], x[first, :, 3], x[first, :, 4],
-                      wiener=dw[first], require_simplex=False)
-    window = hypothesis_window(first_path)
+    window = hypothesis_window(_row_path(x, dw, int(ok[0]), cfg.dt))
     j_mean = JFunctionals(*(float(np.mean(j))
                             for j in (est.j_s, est.j_a, est.j_sa, est.j_2)))
+    p_clamped, p_out_of_range = _clamp_p(p_mean)
     return EstimateReport(
         beta_s=bs_mean, beta_a=ba_mean, p=p_mean,
-        p_clamped=min(max(p_mean, 0.0), 1.0),
-        p_out_of_range=not 0.0 <= p_mean <= 1.0,
+        p_clamped=p_clamped, p_out_of_range=p_out_of_range,
         sigma=sg_mean,
         sigma_components=np.mean(est.sigma_components, axis=0),
         j=j_mean,

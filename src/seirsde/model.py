@@ -1,4 +1,4 @@
-"""Core model vocabulary: parameters, states, vector fields, R0, growth window.
+"""Core model vocabulary: parameters, states, paths, R0, growth window.
 
 The dynamics split a closed population into susceptible (S), exposed (E),
 asymptomatic infectious (I_a), symptomatic infectious (I_s) and recovered (R)
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SimplexError, ZeroSigmaError
+from .errors import SimplexError
 
 SIMPLEX_TOL = 1e-12
 PATH_SIMPLEX_TOL = 1e-9
@@ -200,91 +200,6 @@ class Path:
                     require_simplex=False)
 
 
-def force_of_infection(i_a: float, i_s: float, params: ModelParams) -> float:
-    """f_beta = beta_s * I_s + beta_a * I_a."""
-    return params.beta_s * i_s + params.beta_a * i_a
-
-
-def deterministic_drift(x: StateVec, params: ModelParams) -> StateVec:
-    """Right-hand side of the deterministic system, returned per day.
-
-    The recovered equation keeps the (1 - theta) survival factor and the
-    death integrator d' = theta * alpha_s * I_s, so with theta = 0 the five
-    compartment rates cancel exactly on the simplex.
-    """
-    fb = force_of_infection(x.i_a, x.i_s, params)
-    ds = params.mu + params.gamma * x.r - (params.mu + fb) * x.s
-    de = fb * x.s - (params.kappa + params.mu) * x.e
-    dia = params.p * params.kappa * x.e - (params.alpha_a + params.mu) * x.i_a
-    dis = (1.0 - params.p) * params.kappa * x.e - (params.alpha_s + params.mu) * x.i_s
-    dr = (params.alpha_a * x.i_a + params.alpha_s * (1.0 - params.theta) * x.i_s
-          - (params.mu + params.gamma) * x.r)
-    dd = params.theta * params.alpha_s * x.i_s
-    out = object.__new__(StateVec)
-    for name, val in (("s", ds), ("e", de), ("i_a", dia), ("i_s", dis),
-                      ("r", dr), ("d", dd)):
-        object.__setattr__(out, name, val)
-    return out
-
-
-def sde_drift(x: StateVec, params: ModelParams) -> np.ndarray:
-    """Drift of the five-equation stochastic system.
-
-    This is the deterministic field with theta dropped from the recovered
-    equation, exactly as the stochastic system is written; the components
-    sum to mu * (1 - sum(x)), zero on the simplex.
-    """
-    fb = force_of_infection(x.i_a, x.i_s, params)
-    return np.array([
-        params.mu - params.mu * x.s - fb * x.s + params.gamma * x.r,
-        fb * x.s - (params.kappa + params.mu) * x.e,
-        params.p * params.kappa * x.e - (params.alpha_a + params.mu) * x.i_a,
-        (1.0 - params.p) * params.kappa * x.e
-        - (params.alpha_s + params.mu) * x.i_s,
-        params.alpha_a * x.i_a + params.alpha_s * x.i_s
-        - (params.mu + params.gamma) * x.r,
-    ])
-
-
-def stochastic_diffusion(x: StateVec, sigma: float) -> np.ndarray:
-    """Diffusion vector sigma * (1 - S, -E, -I_a, -I_s, -R).
-
-    One shared Wiener increment multiplies all five entries; they sum to
-    sigma * (1 - sum(x)), zero on the simplex.
-    """
-    return sigma * np.array([1.0 - x.s, -x.e, -x.i_a, -x.i_s, -x.r])
-
-
-def lamperti_drift(x: StateVec, params: ModelParams) -> np.ndarray:
-    """Drift of the log-transformed system with unit diffusion.
-
-    Component i is the drift of -(1/sigma) d log(X_i) for
-    X = (1-S, E, I_a, I_s, R). Requires an interior state (all log
-    arguments positive) and sigma > 0.
-    """
-    sig = params.sigma
-    if sig == 0:
-        raise ZeroSigmaError("lamperti drift divides by sigma")
-    one_minus_s = 1.0 - x.s
-    for name, v in (("1-S", one_minus_s), ("E", x.e), ("I_a", x.i_a),
-                    ("I_s", x.i_s), ("R", x.r)):
-        if v <= 0:
-            raise DomainError(f"log argument {name} = {v!r} is not positive")
-    fb = force_of_infection(x.i_a, x.i_s, params)
-    half = 0.5 * sig
-    return np.array([
-        params.mu / sig - fb * x.s / (sig * one_minus_s)
-        + params.gamma * x.r / (sig * one_minus_s) + half,
-        -fb * x.s / (sig * x.e) + (params.kappa + params.mu) / sig + half,
-        -params.p * params.kappa * x.e / (sig * x.i_a)
-        + (params.alpha_a + params.mu) / sig + half,
-        -(1.0 - params.p) * params.kappa * x.e / (sig * x.i_s)
-        + (params.alpha_s + params.mu) / sig + half,
-        -(params.alpha_a * x.i_a + params.alpha_s * x.i_s) / (sig * x.r)
-        + (params.mu + params.gamma) / sig + half,
-    ])
-
-
 def r0(params: ModelParams, convention: str = "paper") -> float:
     """Basic reproduction number of the deterministic system.
 
@@ -303,6 +218,14 @@ def r0(params: ModelParams, convention: str = "paper") -> float:
     raise ValueError(f"unknown r0 convention {convention!r}")
 
 
+def _growth_pointwise(s, e, ia, is_) -> np.ndarray:
+    """The growth-phase inequalities at every grid point after the first:
+    S below its start and E, I_a, I_s above theirs. Arrays of shape
+    (..., n) with time last; the result has shape (..., n - 1)."""
+    return ((s[..., 1:] < s[..., :1]) & (e[..., 1:] > e[..., :1])
+            & (ia[..., 1:] > ia[..., :1]) & (is_[..., 1:] > is_[..., :1]))
+
+
 def hypothesis_window(path: Path) -> HypothesisWindow:
     """Largest prefix window on which the growth-phase inequalities hold.
 
@@ -313,8 +236,7 @@ def hypothesis_window(path: Path) -> HypothesisWindow:
     n = len(path)
     if n < 2:
         return HypothesisWindow(path.t0, path.t0, False)
-    pointwise = ((path.s[1:] < path.s[0]) & (path.e[1:] > path.e[0])
-                 & (path.i_a[1:] > path.i_a[0]) & (path.i_s[1:] > path.i_s[0]))
+    pointwise = _growth_pointwise(path.s, path.e, path.i_a, path.i_s)
     bad = np.flatnonzero(~pointwise)
     k_max = int(bad[0]) if bad.size else n - 1  # steps 1..k_max all admissible
     if k_max == 0:

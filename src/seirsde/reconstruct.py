@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (EmptySeriesError, LengthMismatchError,
-                     NegativeCountError, PositivityError, ReplicateError)
+                     NegativeCountError, ReplicateError)
 from .model import INITIAL_POOL_PRIOR, ModelParams, Path
-from .simulate import (RNG_ALGORITHM, _generator, _step_s_e_ia,
-                       replicate_seed)
+from .simulate import (RNG_ALGORITHM, _generator, _reject_and_freeze,
+                       _step_s_e_ia, replicate_seed)
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,6 @@ class ReconstructConfig:
 
 def normalize(series: IncidenceSeries) -> np.ndarray:
     """Counts divided by the population size, as fractions in [0, 1]."""
-    if len(series) == 0:
-        raise EmptySeriesError("no records to normalise")
     return np.asarray(series.counts, dtype=float) / float(series.population_n)
 
 
@@ -99,83 +97,39 @@ def _check_obs(obs_is: np.ndarray) -> np.ndarray:
     return obs
 
 
-def _reconstruct_arrays(obs, dW, e0, ia0, r0, params, dt, pedantic,
-                        first_bad=None):
-    """Shared recurrence on (n_rep, ...) arrays; obs is broadcast."""
-    n_rep, n_steps = dW.shape
-    x = np.empty((n_rep, n_steps + 1, 5))
-    s0 = 1.0 - e0 - ia0 - r0 - obs[0]
-    x[:, 0, 0] = s0
-    x[:, 0, 1] = e0
-    x[:, 0, 2] = ia0
-    x[:, 0, 3] = obs[0]
-    x[:, 0, 4] = r0
-    alive = np.ones(n_rep, dtype=bool)
-    failures = {}
-    pr = params
-    for n in range(n_steps):
-        s, e, ia = x[:, n, 0], x[:, n, 1], x[:, n, 2]
-        r = x[:, n, 4]
-        is_n = obs[n]
-        w = dW[:, n]
-        if pedantic:
-            # verbatim published recurrence, typos included: the S noise is
-            # sign-flipped, the I_a line multiplies the E inflow by I_a and
-            # replaces its Wiener increment by dt
-            fb = pr.beta_s * is_n + pr.beta_a * ia
-            s1 = s - (pr.mu + fb) * dt * s + (pr.mu + pr.gamma * r) * dt \
-                - pr.sigma * (1.0 - s) * w
-            e1 = e - (pr.kappa + pr.mu) * dt * e + dt * fb * s - pr.sigma * e * w
-            ia1 = ia - pr.p * pr.kappa * e * dt * ia \
-                - (pr.alpha_a + pr.mu) * ia * dt - pr.sigma * ia * dt
-        else:
-            s1, e1, ia1 = _step_s_e_ia(s, e, ia, is_n, r, w, dt, pr)
-        is1 = obs[n + 1]
-        r1 = 1.0 - s1 - e1 - ia1 - is1
-        latent = np.stack([s1, e1, ia1], axis=-1)
-        bad = alive & ~np.all((latent >= 0.0) & (latent <= 1.0), axis=-1)
-        for i in np.flatnonzero(bad):
-            comp = int(np.argmax((latent[i] < 0.0) | (latent[i] > 1.0)))
-            failures[int(i)] = PositivityError(n, ("s", "e", "i_a")[comp],
-                                               float(latent[i, comp]))
-        alive &= ~bad
-        nxt = np.stack([s1, e1, ia1, np.full(n_rep, is1), r1], axis=-1)
-        nxt[~alive] = x[~alive, n]
-        x[:, n + 1] = nxt
-    return x, failures
+def _row_path(x: np.ndarray, dW: np.ndarray, i: int, dt: float) -> Path:
+    """Replicate ``i`` of the engine's output as a path.
+
+    Every step of a row that did not fail writes the observation into its
+    symptomatic column, so that coordinate equals the observed series
+    bitwise.
+    """
+    return Path(0.0, dt, x[i, :, 0], x[i, :, 1], x[i, :, 2], x[i, :, 3],
+                x[i, :, 4], wiener=dW[i], rng_algorithm=RNG_ALGORITHM,
+                require_simplex=False)
 
 
 def reconstruct_latent(obs_is: Sequence[float], cfg: ReconstructConfig) -> Path:
     """Build one latent path conditioned on the observed symptomatic series.
 
-    The returned path's symptomatic coordinate equals ``obs_is`` bitwise and
-    every row sums to one exactly. Raises PositivityError when an updated
-    latent coordinate leaves [0, 1].
+    The engine's replicate 0: the returned path's symptomatic coordinate
+    equals ``obs_is`` bitwise and every row sums to one exactly. Raises
+    PositivityError when an updated latent coordinate leaves [0, 1].
     """
-    obs = _check_obs(obs_is)
-    rng = _generator(np.random.SeedSequence(cfg.seed))
-    e0, ia0 = cfg.init_e, cfg.init_ia
-    if cfg.resample_initials:
-        e0, ia0 = _draw_initials(cfg, rng)
-    n_steps = len(obs) - 1
-    dW = (rng.standard_normal(n_steps) * np.sqrt(cfg.dt))[None, :]
-    x, failures = _reconstruct_arrays(obs, dW, e0, ia0, cfg.init_r,
-                                      cfg.params, cfg.dt, cfg.pedantic_paper)
+    x, dW, failures = reconstruct_replicate_arrays(obs_is, cfg, 1)
     if failures:
         raise failures[0]
-    cols = x[0]
-    # pin the observed coordinate bitwise rather than through the array copy
-    return Path(0.0, cfg.dt, cols[:, 0], cols[:, 1], cols[:, 2], obs.copy(),
-                cols[:, 4], wiener=dW[0], rng_algorithm=RNG_ALGORITHM,
-                require_simplex=False)
+    return _row_path(x, dW, 0, cfg.dt)
 
 
 def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
     """Vectorised engine behind the replicate runs.
 
     Returns ``(states, increments, failures)`` with states of shape
-    (n_rep, len(obs), 5); replicate i reproduces ``reconstruct_latent`` run
-    with the stream ``replicate_seed(cfg.seed, i)``.
+    (n_rep, len(obs), 5). Replicate i draws its initials (when resampled)
+    and then its increments from the stream ``replicate_seed(cfg.seed, i)``;
+    failures map replicate index to the PositivityError met first, and
+    those rows are frozen at the failing step.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
@@ -189,9 +143,39 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
         if cfg.resample_initials:
             e0[i], ia0[i] = _draw_initials(cfg, rng)
         dW[i] = rng.standard_normal(n_steps)
-    dW *= np.sqrt(cfg.dt)
-    x, failures = _reconstruct_arrays(obs, dW, e0, ia0, cfg.init_r,
-                                      cfg.params, cfg.dt, cfg.pedantic_paper)
+    dt = cfg.dt
+    dW *= np.sqrt(dt)
+    x = np.empty((n_rep, n_steps + 1, 5))
+    x[:, 0, 0] = 1.0 - e0 - ia0 - cfg.init_r - obs[0]
+    x[:, 0, 1] = e0
+    x[:, 0, 2] = ia0
+    x[:, 0, 3] = obs[0]
+    x[:, 0, 4] = cfg.init_r
+    alive = np.ones(n_rep, dtype=bool)
+    failures = {}
+    pr = cfg.params
+    for n in range(n_steps):
+        s, e, ia = x[:, n, 0], x[:, n, 1], x[:, n, 2]
+        r = x[:, n, 4]
+        is_n = obs[n]
+        w = dW[:, n]
+        if cfg.pedantic_paper:
+            # verbatim published recurrence, typos included: the S noise is
+            # sign-flipped, the I_a line multiplies the E inflow by I_a and
+            # replaces its Wiener increment by dt
+            fb = pr.beta_s * is_n + pr.beta_a * ia
+            s1 = s - (pr.mu + fb) * dt * s + (pr.mu + pr.gamma * r) * dt \
+                - pr.sigma * (1.0 - s) * w
+            e1 = e - (pr.kappa + pr.mu) * dt * e + dt * fb * s - pr.sigma * e * w
+            ia1 = ia - pr.p * pr.kappa * e * dt * ia \
+                - (pr.alpha_a + pr.mu) * ia * dt - pr.sigma * ia * dt
+        else:
+            s1, e1, ia1 = _step_s_e_ia(s, e, ia, is_n, r, w, dt, pr)
+        is1 = obs[n + 1]
+        r1 = 1.0 - s1 - e1 - ia1 - is1
+        nxt = np.stack([s1, e1, ia1, np.full(n_rep, is1), r1], axis=-1)
+        _reject_and_freeze(nxt, x[:, n], alive, failures, n, 3)
+        x[:, n + 1] = nxt
     return x, dW, failures
 
 
@@ -199,13 +183,7 @@ def replicate_reconstructions(obs_is, cfg: ReconstructConfig,
                               n_rep: int) -> list:
     """n_rep reconstructions with stream-split seeds; raises ReplicateError
     naming the failing replicate indices when any of them errors."""
-    obs = _check_obs(obs_is)
-    x, dW, failures = reconstruct_replicate_arrays(obs, cfg, n_rep)
+    x, dW, failures = reconstruct_replicate_arrays(obs_is, cfg, n_rep)
     if failures:
         raise ReplicateError(failures)
-    paths = []
-    for i in range(n_rep):
-        paths.append(Path(0.0, cfg.dt, x[i, :, 0], x[i, :, 1], x[i, :, 2],
-                          obs.copy(), x[i, :, 4], wiener=dW[i],
-                          rng_algorithm=RNG_ALGORITHM, require_simplex=False))
-    return paths
+    return [_row_path(x, dW, i, cfg.dt) for i in range(n_rep)]

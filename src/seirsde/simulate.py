@@ -193,16 +193,28 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
                                     milstein), axis=-1)
         if positivity == POSITIVITY_REFLECT:
             np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
-        if positivity == POSITIVITY_REJECT:
-            bad = alive & ~np.all((nxt >= 0.0) & (nxt <= 1.0), axis=-1)
-            for i in np.flatnonzero(bad):
-                comp = int(np.argmax((nxt[i] < 0.0) | (nxt[i] > 1.0)))
-                failures[int(i)] = PositivityError(k, _COMPONENTS[comp],
-                                                   float(nxt[i, comp]))
-            alive &= ~bad
-        nxt[~alive] = x[~alive, k]  # freeze failed replicates
+        elif positivity == POSITIVITY_REJECT:
+            _reject_and_freeze(nxt, x[:, k], alive, failures, k, 5)
         x[:, k + 1] = nxt
     return x, dw, failures
+
+
+def _reject_and_freeze(nxt, prev, alive, failures, step, n_check) -> None:
+    """Reject rows of ``nxt`` whose first ``n_check`` columns newly leave
+    [0, 1], then freeze every rejected row at ``prev``.
+
+    Each newly rejected row gets a PositivityError for its first offending
+    component in ``failures`` and is cleared in ``alive``; both are updated
+    in place, as is ``nxt``.
+    """
+    head = nxt[:, :n_check]
+    bad = alive & ~np.all((head >= 0.0) & (head <= 1.0), axis=-1)
+    for i in np.flatnonzero(bad):
+        comp = int(np.argmax((head[i] < 0.0) | (head[i] > 1.0)))
+        failures[int(i)] = PositivityError(step, _COMPONENTS[comp],
+                                           float(head[i, comp]))
+    alive &= ~bad
+    nxt[~alive] = prev[~alive]
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +224,8 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
 _PATH_HEADER = ["t", "S", "E", "Ia", "Is", "R"]
 # rows formatted per write; bounds the Python floats alive at once
 _ROWS_PER_WRITE = 4096
+# largest distance of a read time from t0 + k*dt, as a fraction of dt
+_GRID_TOL = 1e-6
 
 
 def _opened(target, mode):
@@ -269,6 +283,8 @@ def path_from_csv(source, require_simplex: bool = True) -> Path:
 
     Blank lines are skipped. The body is parsed in one numpy pass; only
     when that fails is it read line by line, to name the first bad line.
+    A non-finite value, or a time off the grid that the first two times
+    set, is a ParseError naming its line.
     """
     with _opened(source, "r") as fh:
         lines = fh.read().splitlines()
@@ -294,7 +310,21 @@ def path_from_csv(source, require_simplex: bool = True) -> Path:
     if len(data) == 1:
         raise ParseError("cannot recover dt from a single grid point", line=2)
     t = data[:, 0]
+    t0, dt = float(t[0]), float(t[1] - t[0])
+    finite = np.isfinite(data)
+    finite[-1, 6:] = True  # the final row's dW is dropped
+    off_grid = np.abs(t - (t0 + dt * np.arange(len(t)))) > _GRID_TOL * abs(dt)
+    bad = np.flatnonzero(~finite.all(axis=1) | off_grid)
+    if bad.size:
+        k = int(bad[0])
+        lineno = [i for i, line in enumerate(body, start=2) if line][k]
+        if not finite[k].all():
+            j = int(np.argmin(finite[k]))
+            raise ParseError(f"non-finite {header[j]} value "
+                             f"{float(data[k, j])!r}", line=lineno)
+        raise ParseError(f"time {float(t[k])!r} is off the grid t0 + k*dt "
+                         f"with t0 = {t0!r}, dt = {dt!r}", line=lineno)
     wiener = data[:-1, 6] if len(header) == 7 else None
-    return Path(float(t[0]), float(t[1] - t[0]), data[:, 1], data[:, 2],
-                data[:, 3], data[:, 4], data[:, 5], wiener=wiener,
-                rng_algorithm=None, require_simplex=require_simplex)
+    return Path(t0, dt, data[:, 1], data[:, 2], data[:, 3], data[:, 4],
+                data[:, 5], wiener=wiener, rng_algorithm=None,
+                require_simplex=require_simplex)

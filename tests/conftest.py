@@ -1,12 +1,16 @@
 import csv
 import dataclasses
 import io
+import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from seirsde import (BASELINE_INIT, BASELINE_PARAMS, SingularSystemError,
-                     StateVec, WienerIncrements, j_functionals, simulate_path)
+from seirsde import (BASELINE_INIT, BASELINE_PARAMS, DomainError,
+                     EmptyInputError, LengthMismatchError, ModelParams,
+                     SingularSystemError, StateVec, WienerIncrements,
+                     ZeroSigmaError, j_functionals, simulate_path)
 from seirsde.estimate import SINGULARITY_GUARD
 
 
@@ -116,3 +120,137 @@ def reference_path_csv(path):
             row.append(f"{path.wiener[k]:.17g}" if k < len(path) - 1 else "")
         writer.writerow(row)
     return buf.getvalue()
+
+
+# Test oracles: the vector fields, integrals and acceptance rule written
+# out one formula at a time. The pipeline computes the same quantities
+# inside its simulator, RK4 integrator, estimator kernel and Metropolis
+# loop.
+
+def force_of_infection(i_a: float, i_s: float, params: ModelParams) -> float:
+    """f_beta = beta_s * I_s + beta_a * I_a."""
+    return params.beta_s * i_s + params.beta_a * i_a
+
+
+def deterministic_drift(x: StateVec, params: ModelParams) -> StateVec:
+    """Right-hand side of the deterministic system, returned per day.
+
+    The recovered equation keeps the (1 - theta) survival factor and the
+    death integrator d' = theta * alpha_s * I_s, so with theta = 0 the five
+    compartment rates cancel exactly on the simplex.
+    """
+    fb = force_of_infection(x.i_a, x.i_s, params)
+    ds = params.mu + params.gamma * x.r - (params.mu + fb) * x.s
+    de = fb * x.s - (params.kappa + params.mu) * x.e
+    dia = params.p * params.kappa * x.e - (params.alpha_a + params.mu) * x.i_a
+    dis = (1.0 - params.p) * params.kappa * x.e - (params.alpha_s + params.mu) * x.i_s
+    dr = (params.alpha_a * x.i_a + params.alpha_s * (1.0 - params.theta) * x.i_s
+          - (params.mu + params.gamma) * x.r)
+    dd = params.theta * params.alpha_s * x.i_s
+    out = object.__new__(StateVec)
+    for name, val in (("s", ds), ("e", de), ("i_a", dia), ("i_s", dis),
+                      ("r", dr), ("d", dd)):
+        object.__setattr__(out, name, val)
+    return out
+
+
+def sde_drift(x: StateVec, params: ModelParams) -> np.ndarray:
+    """Drift of the five-equation stochastic system.
+
+    This is the deterministic field with theta dropped from the recovered
+    equation, exactly as the stochastic system is written; the components
+    sum to mu * (1 - sum(x)), zero on the simplex.
+    """
+    fb = force_of_infection(x.i_a, x.i_s, params)
+    return np.array([
+        params.mu - params.mu * x.s - fb * x.s + params.gamma * x.r,
+        fb * x.s - (params.kappa + params.mu) * x.e,
+        params.p * params.kappa * x.e - (params.alpha_a + params.mu) * x.i_a,
+        (1.0 - params.p) * params.kappa * x.e
+        - (params.alpha_s + params.mu) * x.i_s,
+        params.alpha_a * x.i_a + params.alpha_s * x.i_s
+        - (params.mu + params.gamma) * x.r,
+    ])
+
+
+def stochastic_diffusion(x: StateVec, sigma: float) -> np.ndarray:
+    """Diffusion vector sigma * (1 - S, -E, -I_a, -I_s, -R).
+
+    One shared Wiener increment multiplies all five entries; they sum to
+    sigma * (1 - sum(x)), zero on the simplex.
+    """
+    return sigma * np.array([1.0 - x.s, -x.e, -x.i_a, -x.i_s, -x.r])
+
+
+def lamperti_drift(x: StateVec, params: ModelParams) -> np.ndarray:
+    """Drift of the log-transformed system with unit diffusion.
+
+    Component i is the drift of -(1/sigma) d log(X_i) for
+    X = (1-S, E, I_a, I_s, R). Requires an interior state (all log
+    arguments positive) and sigma > 0.
+    """
+    sig = params.sigma
+    if sig == 0:
+        raise ZeroSigmaError("lamperti drift divides by sigma")
+    one_minus_s = 1.0 - x.s
+    for name, v in (("1-S", one_minus_s), ("E", x.e), ("I_a", x.i_a),
+                    ("I_s", x.i_s), ("R", x.r)):
+        if v <= 0:
+            raise DomainError(f"log argument {name} = {v!r} is not positive")
+    fb = force_of_infection(x.i_a, x.i_s, params)
+    half = 0.5 * sig
+    return np.array([
+        params.mu / sig - fb * x.s / (sig * one_minus_s)
+        + params.gamma * x.r / (sig * one_minus_s) + half,
+        -fb * x.s / (sig * x.e) + (params.kappa + params.mu) / sig + half,
+        -params.p * params.kappa * x.e / (sig * x.i_a)
+        + (params.alpha_a + params.mu) / sig + half,
+        -(1.0 - params.p) * params.kappa * x.e / (sig * x.i_s)
+        + (params.alpha_s + params.mu) / sig + half,
+        -(params.alpha_a * x.i_a + params.alpha_s * x.i_s) / (sig * x.r)
+        + (params.mu + params.gamma) / sig + half,
+    ])
+
+
+def left_riemann(values: Sequence[float], dt: float) -> float:
+    """Left-point rectangle sum: every supplied value times dt.
+
+    Callers integrating over a path grid pass the integrand without its
+    terminal point.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.size == 0:
+        raise EmptyInputError("nothing to integrate")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return float(vals.sum() * dt)
+
+
+def ito_log_integral(f: Sequence[float], x: Sequence[float]) -> float:
+    """Left-point Ito sum of f against the increments of log x."""
+    f_arr = np.asarray(f, dtype=float)
+    x_arr = np.asarray(x, dtype=float)
+    if f_arr.shape != x_arr.shape:
+        raise LengthMismatchError("f and x must have equal length")
+    if f_arr.size < 2:
+        raise LengthMismatchError("need at least two points")
+    if np.any(x_arr <= 0.0):
+        idx = int(np.argmax(x_arr <= 0.0))
+        raise DomainError(f"x must be strictly positive, got {x_arr[idx]!r}",
+                          index=idx)
+    return float(np.sum(f_arr[:-1] * np.diff(np.log(x_arr))))
+
+
+def quadratic_variation(x: Sequence[float]) -> float:
+    """Sum of squared increments of x."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size < 2:
+        raise LengthMismatchError("need at least two points")
+    return float(np.sum(np.diff(arr) ** 2))
+
+
+def accept_probability(log_post_new: float, log_post_old: float) -> float:
+    """Metropolis acceptance probability min(1, ratio)."""
+    if log_post_new >= log_post_old:
+        return 1.0
+    return math.exp(log_post_new - log_post_old)

@@ -7,8 +7,10 @@ import pytest
 from seirsde import (DomainError, LengthMismatchError, McmcConfig, Path,
                      PriorSpec, StateVec, cumulative_incidence, metropolis,
                      ode_rk4, poisson_loglik)
-from seirsde.bayes import accept_probability, samples_to_csv
+from seirsde.bayes import samples_to_csv
 from seirsde.reconstruct import IncidenceSeries
+
+from conftest import accept_probability
 
 
 def make_series(counts, n=26_446_435):

@@ -254,7 +254,12 @@ class TestErrorMapping:
         assert code == EXIT_CODES[ConfigError]
 
     def test_negative_known_sigma_on_replicates_is_a_config_error(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, monkeypatch):
+        def reconstruct_nothing(*args, **kwargs):
+            raise AssertionError("reconstructed before checking sigma")
+
+        monkeypatch.setattr("seirsde.estimate.reconstruct_replicate_arrays",
+                            reconstruct_nothing)
         series = tmp_path / "cases.csv"
         series.write_text("date,count\n" + "".join(
             f"d{k},{500000 + 2000 * k}\n" for k in range(40)))
@@ -266,6 +271,23 @@ class TestErrorMapping:
                      "--out", str(tmp_path)])
         assert code == EXIT_CODES[ConfigError]
         assert "sigma must be nonnegative" in capsys.readouterr().err
+
+    def test_non_finite_path_value_is_a_parse_error(self, tmp_path, capsys):
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_text("t,S,E,Ia,Is,R\n0,0.9,0.05,0.02,0.02,0.01\n"
+                            "0.1,inf,0.05,0.02,0.02,0.01\n")
+        cfg = write_config(tmp_path, validate={"path_csv": str(path_csv)})
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ParseError]
+        assert "line 3" in capsys.readouterr().err
+
+    def test_unknown_prior_key_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mcmc={"iterations": 10,
+                                           "priors": {"p_low": 0.2}})
+        code = main(["mcmc", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ConfigError]
+        assert "p_low" in capsys.readouterr().err
 
     def test_non_finite_parameter_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mu="NaN")

@@ -5,9 +5,11 @@ import pytest
 
 from seirsde import (DegenerateSampleError, DomainError, Path, SimConfig,
                      TooFewPointsError, WindowViolatedError, ZeroSigmaError,
-                     consistency_study, inverse_normal_cdf, normality_test,
-                     qq_points, residual_increments, simulate_path)
+                     consistency_study, hypothesis_window, inverse_normal_cdf,
+                     normality_test, qq_points, residual_increments,
+                     simulate_path)
 from seirsde.diagnostics import consistency_to_csv, qq_to_csv
+from seirsde.simulate import simulate_batch
 
 
 def sim(params, init, n_steps=47, seed=0, dt=1e-3):
@@ -205,18 +207,37 @@ class TestConsistencyStudy:
             consistency_study(dying, interior_init, [0.04], 5, dt=1e-3,
                               seed=0, sigma=0.01)
 
-    def test_negative_known_sigma_rejected(self, params, interior_init):
+    def test_negative_known_sigma_rejected(self, params, interior_init,
+                                           monkeypatch):
+        def simulate_nothing(*args, **kwargs):
+            raise AssertionError("simulated before checking sigma")
+
+        monkeypatch.setattr("seirsde.diagnostics.simulate_batch",
+                            simulate_nothing)
         with pytest.raises(ValueError, match="sigma must be nonnegative"):
             consistency_study(params, interior_init, [0.02], 20, dt=1e-3,
                               seed=3, sigma=-0.01)
 
     def test_rows_report_violation_rates(self, params, interior_init):
-        rows = consistency_study(params, interior_init, [0.02, 0.04], 20,
-                                 dt=1e-3, seed=3)
+        horizons, n_rep, dt = [0.02, 0.04], 20, 1e-3
+        rows = consistency_study(params, interior_init, horizons, n_rep,
+                                 dt=dt, seed=3)
         assert len(rows) == 2
-        for row in rows:
+        for h, (horizon, row) in enumerate(zip(horizons, rows)):
             assert 0.0 <= row.window_violation_rate < 1.0
             assert row.flagged == (row.window_violation_rate > 0.20)
+            # the same replicate paths, judged one at a time
+            seeds = [np.random.SeedSequence(3, spawn_key=(h, i))
+                     for i in range(n_rep)]
+            x, _, _ = simulate_batch(params, interior_init, dt,
+                                     int(round(horizon / dt)), seeds)
+            violated = []
+            for row_x in x:
+                path = Path(0.0, dt, *row_x.T, require_simplex=False)
+                window = hypothesis_window(path)
+                violated.append(not (window.satisfied
+                                     and window.t_end == path.t_end))
+            assert row.window_violation_rate == np.mean(violated)
 
     def test_horizons_must_increase(self, params, interior_init):
         with pytest.raises(ValueError):

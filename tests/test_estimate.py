@@ -8,14 +8,14 @@ from seirsde import (DegenerateDenominatorError, DomainError,
                      MissingIncrementsError, Path, PositivityError,
                      ReconstructConfig, SimConfig, SingularSystemError,
                      estimate_betas, estimate_p, estimate_path,
-                     estimate_sigma, girsanov_loglik, ito_log_integral,
-                     j_functionals, left_riemann, quadratic_variation,
+                     estimate_sigma, girsanov_loglik, j_functionals,
                      replicate_estimates, simulate_path)
 from seirsde.estimate import (_CHUNK_ELEMENTS, _estimate_replicates,
                               _kernel)
 from seirsde.simulate import simulate_batch
 
-from conftest import closed_form_betas
+from conftest import (closed_form_betas, ito_log_integral, left_riemann,
+                      quadratic_variation)
 
 
 def sim(params, init, n_steps=47, seed=0, dt=1e-3, **kw):
@@ -427,7 +427,13 @@ class TestReplicateEstimates:
         for block in payload["ci"].values():
             assert block["lo"] <= block["hi"]
 
-    def test_negative_known_sigma_rejected(self, params, interior_init):
+    def test_negative_known_sigma_rejected(self, params, interior_init,
+                                           monkeypatch):
+        def reconstruct_nothing(*args, **kwargs):
+            raise AssertionError("reconstructed before checking sigma")
+
+        monkeypatch.setattr("seirsde.estimate.reconstruct_replicate_arrays",
+                            reconstruct_nothing)
         obs = sim(params, interior_init, n_steps=200, seed=21).i_s
         with pytest.raises(ValueError, match="sigma must be nonnegative"):
             replicate_estimates(obs, self.cfg(params, interior_init), 4,

@@ -3,10 +3,10 @@ import pytest
 
 from seirsde import (BASELINE_PARAMS, DomainError, Path, SimConfig,
                      SimplexError, StateVec, ZeroSigmaError,
-                     deterministic_drift, hypothesis_window, lamperti_drift,
-                     r0, sde_drift, simulate_path, stochastic_diffusion)
+                     hypothesis_window, r0, simulate_path)
 
-from conftest import one_step
+from conftest import (deterministic_drift, lamperti_drift, one_step,
+                      sde_drift, stochastic_diffusion)
 
 def random_simplex_state(rng):
     w = rng.dirichlet(np.ones(5))

@@ -159,9 +159,15 @@ class TestReconstructLatent:
 
 
 class TestReplicates:
+    @pytest.mark.parametrize("pedantic", [False, True],
+                             ids=["plain", "pedantic"])
+    @pytest.mark.parametrize("resample", [False, True],
+                             ids=["fixed", "resampled"])
     def test_single_replicate_equals_base_call(self, params, interior_init,
-                                               synthetic_obs):
-        cfg = rec_cfg(params, interior_init)
+                                               synthetic_obs, resample,
+                                               pedantic):
+        cfg = rec_cfg(params, interior_init, resample_initials=resample,
+                      pedantic_paper=pedantic, population_n=26_446_435)
         single = replicate_reconstructions(synthetic_obs, cfg, 1)
         base = reconstruct_latent(synthetic_obs, cfg)
         assert len(single) == 1

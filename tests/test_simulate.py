@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from seirsde import (ParseError, Path, PositivityError, SimConfig, StateVec,
                      WienerIncrements, draw_increments, hypothesis_window,
-                     path_from_csv, path_to_csv, sde_drift, simulate_path)
+                     path_from_csv, path_to_csv, simulate_path)
 from seirsde.simulate import (POSITIVITY_REFLECT, SCHEME_MILSTEIN,
                               simulate_batch)
 
-from conftest import as_matrix, one_step, reference_path_csv
+from conftest import as_matrix, one_step, reference_path_csv, sde_drift
 
 
 def cfg_for(params, init, n_steps=47, dt=1e-3, seed=0, **kw):
@@ -188,13 +188,21 @@ class TestBatchEngine:
             assert np.array_equal(dw[i], path.wiener)
 
     def test_batch_reports_failures_per_replicate(self, params, interior_init):
-        x, dw, failures = simulate_batch(params.replaced(sigma=8.0),
-                                         interior_init, 1e-3, 100,
+        wild = params.replaced(sigma=8.0)
+        x, dw, failures = simulate_batch(wild, interior_init, 1e-3, 100,
                                          range(6))
         assert failures
         for idx, exc in failures.items():
             assert isinstance(exc, PositivityError)
             assert 0 <= idx < 6
+            with pytest.raises(PositivityError) as scalar:
+                simulate_path(cfg_for(wild, interior_init, n_steps=100,
+                                      seed=idx))
+            assert (exc.step, exc.component, exc.value) == (
+                scalar.value.step, scalar.value.component,
+                scalar.value.value)
+            # frozen from the failing step on
+            assert np.all(x[idx, exc.step + 1:] == x[idx, exc.step])
 
 
 class TestStrongOrder:
@@ -316,8 +324,13 @@ class TestPathCsv:
           ROW.format(k=2, w="")], 3),
         ([ROW.format(k=0, w=0.1), "", ROW.format(k=1, w="0.1,0.1"),
           ROW.format(k=2, w="")], 4),
+        ([ROW.format(k=0, w=0.1), ROW.format(k=1, w=0.1),
+          "5.0,0.9,0.05,0.02,0.02,0.01,"], 4),
+        ([ROW.format(k=0, w=0.1), "0.1,inf,0.05,0.02,0.02,0.01,0.1",
+          ROW.format(k=2, w="")], 3),
     ], ids=["non-numeric-S", "field-count", "non-numeric-dW",
-            "empty-dW-before-final", "after-blank"])
+            "empty-dW-before-final", "after-blank", "off-grid-time",
+            "infinite-S"])
     def test_malformed_line_is_named(self, rows, line, eol):
         with pytest.raises(ParseError) as err:
             path_from_csv(io.StringIO(csv_text(rows, eol)))
