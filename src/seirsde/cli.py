@@ -95,23 +95,35 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _converted(convert, value, what: str):
+    """``convert(value)`` for a config value; a value it cannot convert,
+    such as a JSON null or list where a number belongs, is a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise errors.ConfigError(f"bad {what} value {value!r}: {exc}") \
+            from None
+
+
 def _params_from_config(cfg: dict) -> model.ModelParams:
     missing = [f for f in _PARAM_FIELDS if f not in cfg]
     if missing:
         raise errors.ConfigError(f"missing parameter fields: {missing}")
+    values = {f: _converted(float, cfg[f], f) for f in _PARAM_FIELDS}
     try:
-        return model.ModelParams(**{f: float(cfg[f]) for f in _PARAM_FIELDS})
-    except (TypeError, ValueError) as exc:
+        return model.ModelParams(**values)
+    except ValueError as exc:
         raise errors.ConfigError(f"bad parameter value: {exc}") from None
 
 
 def _state_from_config(block, default: model.StateVec) -> model.StateVec:
     if block is None:
         return default
+    if not isinstance(block, dict):
+        raise errors.ConfigError("init block must be a JSON object")
     try:
-        return model.StateVec(s=float(block["s"]), e=float(block["e"]),
-                              i_a=float(block["i_a"]), i_s=float(block["i_s"]),
-                              r=float(block["r"]))
+        return model.StateVec(**{f: _converted(float, block[f], f"init {f}")
+                                 for f in ("s", "e", "i_a", "i_s", "r")})
     except KeyError as exc:
         raise errors.ConfigError(f"init block missing {exc}") from None
 
@@ -165,8 +177,9 @@ def _cmd_simulate(args):
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     sim_cfg = simulate.SimConfig(
         params=params, init=init,
-        dt=float(block.get("dt", _DEFAULT_DT)),
-        n_steps=int(_required(block, "simulate", "n_steps")),
+        dt=_converted(float, block.get("dt", _DEFAULT_DT), "dt"),
+        n_steps=_converted(int, _required(block, "simulate", "n_steps"),
+                           "n_steps"),
         scheme=block.get("scheme", simulate.SCHEME_EULER),
         seed=_need_seed(args),
         positivity=block.get("positivity", simulate.POSITIVITY_REJECT))
@@ -182,20 +195,26 @@ def _reconstruct_config(cfg, block, seed, pedantic) -> reconstruct.ReconstructCo
     n_pop = block.get("population_n")
     return reconstruct.ReconstructConfig(
         params=params,
-        init_e=float(block.get("init_e", model.BASELINE_INIT.e)),
-        init_ia=float(block.get("init_ia", model.BASELINE_INIT.i_a)),
-        init_r=float(block.get("init_r", model.BASELINE_INIT.r)),
-        dt=float(block.get("dt", _DEFAULT_DT)),
+        init_e=_converted(float, block.get("init_e", model.BASELINE_INIT.e),
+                          "init_e"),
+        init_ia=_converted(float,
+                           block.get("init_ia", model.BASELINE_INIT.i_a),
+                           "init_ia"),
+        init_r=_converted(float, block.get("init_r", model.BASELINE_INIT.r),
+                          "init_r"),
+        dt=_converted(float, block.get("dt", _DEFAULT_DT), "dt"),
         seed=seed,
         pedantic_paper=pedantic,
         resample_initials=bool(block.get("resample_initials", False)),
-        population_n=None if n_pop is None else int(n_pop))
+        population_n=None if n_pop is None
+        else _converted(int, n_pop, "population_n"))
 
 
 def _load_obs(block):
     if "incidence" not in block or "population_n" not in block:
         raise errors.ConfigError("block needs incidence and population_n")
-    series = load_incidence(block["incidence"], int(block["population_n"]))
+    series = load_incidence(block["incidence"], _converted(
+        int, block["population_n"], "population_n"))
     return reconstruct.normalize(series)
 
 
@@ -205,7 +224,7 @@ def _cmd_reconstruct(args):
     seed = _need_seed(args)
     rec_cfg = _reconstruct_config(cfg, block, seed, args.pedantic_paper)
     obs = _load_obs(block)
-    n_rep = int(block.get("n_rep", 1))
+    n_rep = _converted(int, block.get("n_rep", 1), "n_rep")
     paths = reconstruct.replicate_reconstructions(obs, rec_cfg, n_rep)
     out = _outdir(args)
     files = []
@@ -226,7 +245,7 @@ def _cmd_estimate(args):
     params = _params_from_config(cfg)
     block = _block(cfg, "estimate")
     sigma = block.get("known_sigma")
-    sigma = None if sigma is None else float(sigma)
+    sigma = None if sigma is None else _converted(float, sigma, "known_sigma")
     restrict = bool(block.get("restrict_to_window", False))
     if "path_csv" in block:
         path = simulate.path_from_csv(block["path_csv"],
@@ -237,8 +256,8 @@ def _cmd_estimate(args):
         seed = _need_seed(args)
         rec_cfg = _reconstruct_config(cfg, block, seed, args.pedantic_paper)
         obs = _load_obs(block)
-        report = estimate.replicate_estimates(obs, rec_cfg,
-                                              int(block.get("n_rep", 2)),
+        n_rep = _converted(int, block.get("n_rep", 2), "n_rep")
+        report = estimate.replicate_estimates(obs, rec_cfg, n_rep,
                                               sigma=sigma)
     target = _outdir(args) / block.get("output", "estimate.json")
     _write_json(target, report.to_json_dict())
@@ -254,8 +273,8 @@ def _cmd_validate(args):
                                   require_simplex=False)
     res = diagnostics.residual_increments(path, params,
                                           method=block.get("method", "em"))
-    verdict = diagnostics.normality_test(res.standardized,
-                                         alpha=float(block.get("alpha", 0.01)))
+    alpha = _converted(float, block.get("alpha", 0.01), "alpha")
+    verdict = diagnostics.normality_test(res.standardized, alpha=alpha)
     out = _outdir(args)
     simulate._write_rows(str(out / "residuals.csv"),
                          ["t", "raw", "standardized"],
@@ -276,11 +295,13 @@ def _cmd_mc_study(args):
     sigma = block.get("known_sigma")
     rows = diagnostics.consistency_study(
         params, init,
-        [float(t) for t in _required(block, "mc_study", "horizons")],
-        n_rep=int(block.get("n_rep", 200)),
-        dt=float(block.get("dt", _DEFAULT_DT)),
+        _converted(lambda hs: [float(t) for t in hs],
+                   _required(block, "mc_study", "horizons"), "horizons"),
+        n_rep=_converted(int, block.get("n_rep", 200), "n_rep"),
+        dt=_converted(float, block.get("dt", _DEFAULT_DT), "dt"),
         seed=_need_seed(args),
-        sigma=None if sigma is None else float(sigma))
+        sigma=None if sigma is None
+        else _converted(float, sigma, "known_sigma"))
     target = _outdir(args) / block.get("output", "consistency.csv")
     diagnostics.consistency_to_csv(rows, str(target))
     print(f"wrote {target}")
@@ -293,22 +314,26 @@ def _cmd_mcmc(args):
     block = _block(cfg, "mcmc")
     series = None
     if "incidence" in block:
-        series = load_incidence(block["incidence"],
-                                int(_required(block, "mcmc", "population_n")))
+        series = load_incidence(block["incidence"], _converted(
+            int, _required(block, "mcmc", "population_n"), "population_n"))
     priors_block = block.get("priors", {})
     unknown = sorted(set(priors_block)
                      - {f.name for f in dataclasses.fields(bayes.PriorSpec)})
     if unknown:
         raise errors.ConfigError(f"unknown prior keys: {unknown}")
-    priors = bayes.PriorSpec(**{k: float(v) for k, v in priors_block.items()})
+    priors = bayes.PriorSpec(**{k: _converted(float, v, f"prior {k}")
+                                for k, v in priors_block.items()})
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     mcfg = bayes.McmcConfig(
-        iterations=int(_required(block, "mcmc", "iterations")),
-        burn_in=int(block.get("burn_in", 0)),
-        proposal_sd=tuple(float(s) for s in block.get("proposal_sd",
-                                                      (0.02, 0.01))),
+        iterations=_converted(int, _required(block, "mcmc", "iterations"),
+                              "iterations"),
+        burn_in=_converted(int, block.get("burn_in", 0), "burn_in"),
+        proposal_sd=_converted(lambda sds: tuple(float(v) for v in sds),
+                               block.get("proposal_sd", (0.02, 0.01)),
+                               "proposal_sd"),
         seed=_need_seed(args),
-        ode_dt=float(block.get("ode_dt", bayes.McmcConfig.ode_dt)))
+        ode_dt=_converted(float, block.get("ode_dt", bayes.McmcConfig.ode_dt),
+                          "ode_dt"))
     result = bayes.metropolis(series, priors, params, init, mcfg)
     target = _outdir(args) / block.get("output", "samples.csv")
     bayes.samples_to_csv(result, str(target))

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import (EmptySeriesError, LengthMismatchError,
                      NegativeCountError, ReplicateError)
 from .model import INITIAL_POOL_PRIOR, ModelParams, Path
-from .simulate import (RNG_ALGORITHM, _generator, _reject_and_freeze,
-                       _step_s_e_ia, replicate_seed)
+from .simulate import (POSITIVITY_REJECT, RNG_ALGORITHM, _generator,
+                       _run_batch, _step_s_e_ia, replicate_seed)
 
 
 @dataclass(frozen=True)
@@ -122,61 +122,51 @@ def reconstruct_latent(obs_is: Sequence[float], cfg: ReconstructConfig) -> Path:
     return _row_path(x, dW, 0, cfg.dt)
 
 
+def _pedantic_s_e_ia(s, e, ia, is_, r, dw, dt, pr):
+    """S, E and I_a after one step of the published recurrence verbatim,
+    typos included: the S noise is sign-flipped, the I_a line multiplies
+    the E inflow by I_a and replaces its Wiener increment by dt."""
+    fb = pr.beta_s * is_ + pr.beta_a * ia
+    s1 = s - (pr.mu + fb) * dt * s + (pr.mu + pr.gamma * r) * dt \
+        - pr.sigma * (1.0 - s) * dw
+    e1 = e - (pr.kappa + pr.mu) * dt * e + dt * fb * s - pr.sigma * e * dw
+    ia1 = ia - pr.p * pr.kappa * e * dt * ia \
+        - (pr.alpha_a + pr.mu) * ia * dt - pr.sigma * ia * dt
+    return s1, e1, ia1
+
+
 def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
     """Vectorised engine behind the replicate runs.
 
     Returns ``(states, increments, failures)`` with states of shape
-    (n_rep, len(obs), 5). Replicate i draws its initials (when resampled)
-    and then its increments from the stream ``replicate_seed(cfg.seed, i)``;
-    failures map replicate index to the PositivityError met first, and
-    those rows are frozen at the failing step.
+    (n_rep, len(obs), 5) and increments (n_rep, len(obs) - 1). Replicate i
+    draws its initials (when resampled) and then its increments from the
+    stream ``replicate_seed(cfg.seed, i)``; failures map replicate index to
+    the PositivityError met first, and those rows are frozen at the
+    failing step. Storage is time-major, so both arrays are transposed
+    views of it.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
     obs = _check_obs(obs_is)
-    n_steps = len(obs) - 1
-    dW = np.empty((n_rep, n_steps))
+    rngs = [_generator(replicate_seed(cfg.seed, i)) for i in range(n_rep)]
     e0 = np.full(n_rep, cfg.init_e)
     ia0 = np.full(n_rep, cfg.init_ia)
-    for i in range(n_rep):
-        rng = _generator(replicate_seed(cfg.seed, i))
-        if cfg.resample_initials:
+    if cfg.resample_initials:
+        for i, rng in enumerate(rngs):
             e0[i], ia0[i] = _draw_initials(cfg, rng)
-        dW[i] = rng.standard_normal(n_steps)
-    dt = cfg.dt
-    dW *= np.sqrt(dt)
-    x = np.empty((n_rep, n_steps + 1, 5))
-    x[:, 0, 0] = 1.0 - e0 - ia0 - cfg.init_r - obs[0]
-    x[:, 0, 1] = e0
-    x[:, 0, 2] = ia0
-    x[:, 0, 3] = obs[0]
-    x[:, 0, 4] = cfg.init_r
-    alive = np.ones(n_rep, dtype=bool)
-    failures = {}
-    pr = cfg.params
-    for n in range(n_steps):
-        s, e, ia = x[:, n, 0], x[:, n, 1], x[:, n, 2]
-        r = x[:, n, 4]
-        is_n = obs[n]
-        w = dW[:, n]
-        if cfg.pedantic_paper:
-            # verbatim published recurrence, typos included: the S noise is
-            # sign-flipped, the I_a line multiplies the E inflow by I_a and
-            # replaces its Wiener increment by dt
-            fb = pr.beta_s * is_n + pr.beta_a * ia
-            s1 = s - (pr.mu + fb) * dt * s + (pr.mu + pr.gamma * r) * dt \
-                - pr.sigma * (1.0 - s) * w
-            e1 = e - (pr.kappa + pr.mu) * dt * e + dt * fb * s - pr.sigma * e * w
-            ia1 = ia - pr.p * pr.kappa * e * dt * ia \
-                - (pr.alpha_a + pr.mu) * ia * dt - pr.sigma * ia * dt
-        else:
-            s1, e1, ia1 = _step_s_e_ia(s, e, ia, is_n, r, w, dt, pr)
-        is1 = obs[n + 1]
-        r1 = 1.0 - s1 - e1 - ia1 - is1
-        nxt = np.stack([s1, e1, ia1, np.full(n_rep, is1), r1], axis=-1)
-        _reject_and_freeze(nxt, x[:, n], alive, failures, n, 3)
-        x[:, n + 1] = nxt
-    return x, dW, failures
+    init = np.broadcast_arrays(1.0 - e0 - ia0 - cfg.init_r - obs[0], e0,
+                               ia0, obs[0], cfg.init_r)
+    s_e_ia = _pedantic_s_e_ia if cfg.pedantic_paper else _step_s_e_ia
+    dt, pr = cfg.dt, cfg.params
+
+    def step(k, prev, w, nxt):
+        nxt[0], nxt[1], nxt[2] = s_e_ia(*prev, w, dt, pr)
+        nxt[3] = obs[k + 1]
+        nxt[4] = 1.0 - nxt[0] - nxt[1] - nxt[2] - nxt[3]
+
+    return _run_batch(init, rngs, len(obs) - 1, dt, step, POSITIVITY_REJECT,
+                      3)
 
 
 def replicate_reconstructions(obs_is, cfg: ReconstructConfig,

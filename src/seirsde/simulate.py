@@ -172,49 +172,63 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
     """Vectorised engine for Monte Carlo studies.
 
     Integrates one path per seed simultaneously; per-replicate results are
-    identical to ``simulate_path`` with the same seed. Returns
-    ``(states, increments, failures)`` where states has shape
-    (n_rep, n_steps + 1, 5) and failures maps replicate index to the
+    identical to ``simulate_path`` with the same seed, and the arguments
+    are checked as ``SimConfig`` checks them. Returns ``(states,
+    increments, failures)`` where states has shape (n_rep, n_steps + 1, 5)
+    and increments (n_rep, n_steps); failures maps replicate index to the
     PositivityError met first (those rows are frozen at the failing step).
+    Storage is time-major, so both arrays are transposed views of it.
     """
-    seeds = list(seeds)
-    n_rep = len(seeds)
-    dw = np.empty((n_rep, n_steps))
-    for i, sd in enumerate(seeds):
-        dw[i] = _generator(sd).standard_normal(n_steps)
-    dw *= np.sqrt(dt)
-    x = np.empty((n_rep, n_steps + 1, 5))
-    x[:, 0] = (init.s, init.e, init.i_a, init.i_s, init.r)
+    SimConfig(params, init, dt, n_steps, scheme, positivity=positivity)
     milstein = scheme == SCHEME_MILSTEIN
-    alive = np.ones(n_rep, dtype=bool)
-    failures = {}
-    for k in range(n_steps):
-        nxt = np.stack(_step_values(x[:, k].T, dw[:, k], dt, params,
-                                    milstein), axis=-1)
-        if positivity == POSITIVITY_REFLECT:
-            np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
-        elif positivity == POSITIVITY_REJECT:
-            _reject_and_freeze(nxt, x[:, k], alive, failures, k, 5)
-        x[:, k + 1] = nxt
-    return x, dw, failures
+
+    def step(k, prev, w, nxt):
+        nxt[0], nxt[1], nxt[2], nxt[3], nxt[4] = _step_values(
+            prev, w, dt, params, milstein)
+
+    return _run_batch(init.as_array()[:, None],
+                      [_generator(sd) for sd in seeds], n_steps, dt, step,
+                      positivity, 5)
 
 
-def _reject_and_freeze(nxt, prev, alive, failures, step, n_check) -> None:
-    """Reject rows of ``nxt`` whose first ``n_check`` columns newly leave
-    [0, 1], then freeze every rejected row at ``prev``.
+def _run_batch(init, rngs, n_steps, dt, step, positivity, n_check):
+    """The batch engine behind ``simulate_batch`` and the reconstruction.
 
-    Each newly rejected row gets a PositivityError for its first offending
-    component in ``failures`` and is cleared in ``alive``; both are updated
-    in place, as is ``nxt``.
+    Replicate i starts from column i of ``init`` and draws its increments
+    from ``rngs[i]`` as ``draw_increments`` would. State is time-major,
+    (5, n_steps + 1, n_rep): step k calls ``step(k, prev, w, nxt)``, which
+    writes the next state into the replicate rows ``nxt`` in place. Then
+    reflect clips every value into (0, 1), or reject freezes each replicate
+    whose first ``n_check`` coordinates left [0, 1] and records the
+    PositivityError of its first offending component in failures. Returns
+    ``(states, increments, failures)``, the arrays as replicate-major views.
     """
-    head = nxt[:, :n_check]
-    bad = alive & ~np.all((head >= 0.0) & (head <= 1.0), axis=-1)
-    for i in np.flatnonzero(bad):
-        comp = int(np.argmax((head[i] < 0.0) | (head[i] > 1.0)))
-        failures[int(i)] = PositivityError(step, _COMPONENTS[comp],
-                                           float(head[i, comp]))
-    alive &= ~bad
-    nxt[~alive] = prev[~alive]
+    dw = np.empty((n_steps, len(rngs)))
+    for i, rng in enumerate(rngs):
+        dw[:, i] = rng.standard_normal(n_steps)
+    dw *= np.sqrt(dt)
+    x = np.empty((5, n_steps + 1, len(rngs)))
+    x[:, 0] = init
+    reflect = positivity == POSITIVITY_REFLECT
+    alive = np.ones(len(rngs), dtype=bool)
+    failures = {}
+    for k, w in enumerate(dw):
+        prev, nxt = x[:, k], x[:, k + 1]
+        step(k, prev, w, nxt)
+        if reflect:
+            np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
+            continue
+        head = nxt[:n_check]
+        bad = alive & ~np.all((head >= 0.0) & (head <= 1.0), axis=0)
+        for i in np.flatnonzero(bad):
+            col = head[:, i]
+            comp = int(np.argmax((col < 0.0) | (col > 1.0)))
+            failures[int(i)] = PositivityError(k, _COMPONENTS[comp],
+                                               float(col[comp]))
+        if failures:  # some replicate failed: freeze the rejected ones
+            alive &= ~bad
+            nxt[:, ~alive] = prev[:, ~alive]
+    return x.transpose(2, 1, 0), dw.T, failures
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import seirsde
 from seirsde import BASELINE_PARAMS, SimConfig, path_to_csv, simulate_path
 from seirsde.cli import EXIT_CODES, load_incidence, main
 from seirsde.errors import (ConfigError, DomainError, NegativeCountError,
@@ -309,6 +313,31 @@ class TestErrorMapping:
         assert code == EXIT_CODES[ConfigError]
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", [
+        {"n_steps": 10, "dt": None},
+        {"n_steps": 10, "init": {**INTERIOR_BLOCK, "s": [1]}},
+    ], ids=["null-dt", "list-init"])
+    def test_non_numeric_config_value_is_a_config_error(self, tmp_path,
+                                                        capsys, block):
+        cfg = write_config(tmp_path, simulate=block)
+        code = main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ConfigError]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_distinct_exit_codes(self):
         codes = list(EXIT_CODES.values())
         assert len(codes) == len(set(codes))
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(seirsde.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "seirsde", "r0", "--config",
+             write_config(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1.63210"

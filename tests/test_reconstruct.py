@@ -216,6 +216,26 @@ class TestReplicates:
         for v in e0:
             assert lo / cfg.population_n <= v <= hi / cfg.population_n
 
+    def test_failed_rows_are_frozen_at_their_failing_step(
+            self, params, interior_init, synthetic_obs):
+        wild = params.replaced(sigma=30.0)
+        x, _, failures = reconstruct_replicate_arrays(
+            synthetic_obs, rec_cfg(wild, interior_init), 8)
+        assert sorted(failures) == list(range(8))
+        for i, exc in failures.items():
+            assert exc.component in ("s", "e", "i_a")
+            assert np.all(x[i, exc.step + 1:] == x[i, exc.step])
+            assert np.array_equal(x[i, :exc.step + 1, 3],
+                                  synthetic_obs[:exc.step + 1])
+
+    @pytest.mark.parametrize("n_rep", [1, 4])
+    def test_returned_shapes(self, params, interior_init, synthetic_obs,
+                             n_rep):
+        x, dw, _ = reconstruct_replicate_arrays(
+            synthetic_obs, rec_cfg(params, interior_init), n_rep)
+        assert x.shape == (n_rep, len(synthetic_obs), 5)
+        assert dw.shape == (n_rep, len(synthetic_obs) - 1)
+
     def test_failures_reported_with_indices(self, params, interior_init,
                                             synthetic_obs):
         wild = params.replaced(sigma=30.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from seirsde import (ParseError, Path, PositivityError, SimConfig, StateVec,
                      WienerIncrements, draw_increments, hypothesis_window,
                      path_from_csv, path_to_csv, simulate_path)
-from seirsde.simulate import (POSITIVITY_REFLECT, SCHEME_MILSTEIN,
+from seirsde.simulate import (_CLAMP, POSITIVITY_REFLECT, SCHEME_MILSTEIN,
                               simulate_batch)
 
 from conftest import as_matrix, one_step, reference_path_csv, sde_drift
@@ -203,6 +203,49 @@ class TestBatchEngine:
                 scalar.value.value)
             # frozen from the failing step on
             assert np.all(x[idx, exc.step + 1:] == x[idx, exc.step])
+        survivors = [i for i in range(6) if i not in failures]
+        assert survivors
+        for i in survivors:
+            path = simulate_path(cfg_for(wild, interior_init, n_steps=100,
+                                         seed=i))
+            assert np.array_equal(x[i], as_matrix(path))
+            assert np.array_equal(dw[i], path.wiener)
+
+    def test_reflect_batch_matches_scalar(self, params, interior_init):
+        # seeds 0-4 keep each row sum within the simplex tolerance of Path,
+        # so simulate_path returns their clipped paths
+        wild = params.replaced(sigma=30.0)
+        x, dw, failures = simulate_batch(wild, interior_init, 1e-3, 100,
+                                         range(5),
+                                         positivity=POSITIVITY_REFLECT)
+        assert not failures
+        # the policy acts on every row: each has values on the clamp
+        assert np.all(np.any((x == _CLAMP) | (x == 1.0 - _CLAMP),
+                             axis=(1, 2)))
+        for i in range(5):
+            path = simulate_path(cfg_for(wild, interior_init, n_steps=100,
+                                         seed=i,
+                                         positivity=POSITIVITY_REFLECT))
+            assert np.array_equal(x[i], as_matrix(path))
+            assert np.array_equal(dw[i], path.wiener)
+
+    @pytest.mark.parametrize("n_rep,n_steps", [(1, 0), (3, 1), (4, 25)])
+    def test_returned_shapes(self, params, interior_init, n_rep, n_steps):
+        x, dw, _ = simulate_batch(params, interior_init, 1e-3, n_steps,
+                                  range(n_rep))
+        assert x.shape == (n_rep, n_steps + 1, 5)
+        assert dw.shape == (n_rep, n_steps)
+
+    @pytest.mark.parametrize("bad", [{"scheme": "milstien"},
+                                     {"positivity": "rejct"},
+                                     {"dt": -1e-3}, {"dt": 0.0},
+                                     {"n_steps": -1}],
+                             ids=["scheme", "positivity", "negative-dt",
+                                  "zero-dt", "negative-n_steps"])
+    def test_rejects_bad_arguments(self, params, interior_init, bad):
+        args = {"dt": 1e-3, "n_steps": 10, "seeds": range(3), **bad}
+        with pytest.raises(ValueError):
+            simulate_batch(params, interior_init, **args)
 
 
 class TestStrongOrder:
