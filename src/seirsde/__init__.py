@@ -30,7 +30,7 @@ from .model import (BASELINE_INIT, BASELINE_PARAMS, MEXICO_CITY_POPULATION,
 from .reconstruct import (IncidenceSeries, ReconstructConfig, normalize,
                           reconstruct_latent, replicate_reconstructions)
 from .simulate import (SCHEME_EULER, SCHEME_MILSTEIN, SimConfig,
-                       WienerIncrements, draw_increments, path_from_csv,
-                       path_to_csv, replicate_seed, simulate_path)
+                       draw_increments, path_from_csv, path_to_csv,
+                       replicate_seed, simulate_path)
 
 __version__ = "0.1.0"

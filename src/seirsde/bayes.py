@@ -15,9 +15,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, LengthMismatchError
-from .model import ModelParams, Path, StateVec
+from .model import (ModelParams, Path, StateVec, _require_finite,
+                    _require_positive_step)
 from .reconstruct import IncidenceSeries
-from .simulate import _generator, _write_rows
+from .simulate import _write_rows
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,7 @@ class PriorSpec:
     kappa_rate: float = 50.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.p_lo < self.p_hi:
             raise ValueError("p prior needs p_lo < p_hi")
         if self.kappa_shape <= 0 or self.kappa_rate <= 0:
@@ -61,10 +63,11 @@ class McmcConfig:
     def __post_init__(self):
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("need 0 <= burn_in < iterations")
-        if len(self.proposal_sd) != 2 or any(s < 0 for s in self.proposal_sd):
-            raise ValueError("proposal_sd must be two nonnegative scales")
-        if self.ode_dt <= 0:
-            raise ValueError("ode_dt must be positive")
+        if len(self.proposal_sd) != 2 or not all(
+                math.isfinite(s) and s >= 0 for s in self.proposal_sd):
+            raise ValueError(f"proposal_sd must be two finite nonnegative "
+                             f"scales, got {self.proposal_sd!r}")
+        _require_positive_step("ode_dt", self.ode_dt)
 
 
 def _ode_core(params: ModelParams, init6, dt: float, n_steps: int):
@@ -124,8 +127,7 @@ def ode_rk4(params: ModelParams, init: StateVec, dt: float,
     simplex check is skipped; with theta = 0 the sum is conserved to
     integrator accuracy.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _require_positive_step("dt", dt)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     d0 = 0.0 if init.d is None else init.d
@@ -136,6 +138,16 @@ def ode_rk4(params: ModelParams, init: StateVec, dt: float,
                 arr[:, 4], d=arr[:, 5], require_simplex=False)
 
 
+def _running_sums(rate: float, e, stride: int) -> list:
+    """Left-rectangle running sum of rate * e, read every ``stride`` steps."""
+    lam, sums = 0.0, []
+    for lo in range(0, len(e) - 1, stride):
+        for e_j in e[lo:lo + stride]:
+            lam += rate * e_j
+        sums.append(lam)
+    return sums
+
+
 def cumulative_incidence(path: Path, params: ModelParams,
                          population_n: float) -> np.ndarray:
     """Expected cumulative symptomatic counts at each grid point.
@@ -143,9 +155,20 @@ def cumulative_incidence(path: Path, params: ModelParams,
     Left-rectangle integral of (1 - p) kappa E scaled back to counts;
     nondecreasing, zero at the first point.
     """
-    incr = (1.0 - params.p) * params.kappa * path.e[:-1] * path.dt \
-        * population_n
-    return np.concatenate([[0.0], np.cumsum(incr)])
+    rate = (1.0 - params.p) * params.kappa * population_n * path.dt
+    return np.array([0.0] + _running_sums(rate, path.e.tolist(), 1))
+
+
+def _poisson_sum(counts, lam) -> float:
+    """``poisson_loglik`` over (count, mean) pairs, without the checks."""
+    total = 0.0
+    for y, mean in zip(counts, lam):
+        if mean <= 0.0:
+            if y > 0.0:
+                raise DomainError(f"zero mean with positive count {y!r}")
+            continue
+        total += y * math.log(mean) - mean - math.lgamma(y + 1.0)
+    return total
 
 
 def poisson_loglik(counts: Sequence[int], lam: Sequence[float]) -> float:
@@ -154,14 +177,7 @@ def poisson_loglik(counts: Sequence[int], lam: Sequence[float]) -> float:
     lam_arr = np.asarray(lam, dtype=float)
     if y.shape != lam_arr.shape:
         raise LengthMismatchError("counts and means must have equal length")
-    total = 0.0
-    for yi, li in zip(y, lam_arr):
-        if li <= 0.0:
-            if yi > 0.0:
-                raise DomainError(f"zero mean with positive count {yi!r}")
-            continue
-        total += yi * math.log(li) - li - math.lgamma(yi + 1.0)
-    return total
+    return _poisson_sum(y, lam_arr)
 
 
 @dataclass(frozen=True)
@@ -183,18 +199,18 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
     condition). ``series=None`` runs on the priors alone. Out-of-support
     proposals are rejected and counted. Deterministic given cfg.seed.
     """
-    rng = _generator(np.random.SeedSequence(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
     n_days = 0 if series is None else len(series) - 1
     substeps = max(1, int(round(1.0 / cfg.ode_dt)))
-    y_cum = None
+    y_days = None
     if series is not None and n_days > 0:
         counts = np.asarray(series.counts, dtype=float)
-        y_cum = np.cumsum(counts) - counts[0]  # cumulative new cases, day >= 1
+        y_days = (np.cumsum(counts) - counts[0])[1:].tolist()  # day >= 1
     init6 = (init.s, init.e, init.i_a, init.i_s, init.r,
              0.0 if init.d is None else init.d)
 
     def loglik(p_, kappa_):
-        if y_cum is None:
+        if y_days is None:
             return 0.0
         # the proposals are numpy scalars; the pure-Python RK4 runs 2-4x
         # faster on floats, with bit-identical results
@@ -202,25 +218,18 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
         model = fixed.replaced(p=p_, kappa=kappa_)
         states = _ode_core(model, init6, 1.0 / substeps, n_days * substeps)
         rate = (1.0 - p_) * kappa_ * series.population_n / substeps
-        lam = 0.0
-        total = 0.0
-        for day in range(1, n_days + 1):
-            for j in range((day - 1) * substeps, day * substeps):
-                lam += rate * states[j][1]
-            yd = y_cum[day]
-            if lam <= 0.0:
-                if yd > 0.0:
-                    return -math.inf
-                continue
-            total += yd * math.log(lam) - lam - math.lgamma(yd + 1.0)
-        return total
+        lam = _running_sums(rate, [x[1] for x in states], substeps)
+        try:
+            return _poisson_sum(y_days, lam)
+        except DomainError:  # a zero mean under a positive count
+            return -math.inf
 
     cur = np.array([priors.p_mean, priors.kappa_mean])
     cur_ll = loglik(*cur)
     cur_post = cur_ll + priors.log_density(*cur)
     sd = np.asarray(cfg.proposal_sd, dtype=float)
     n_accept = 0
-    kept_iters, kept_p, kept_k, kept_ll = [], [], [], []
+    kept_p, kept_k, kept_ll = [], [], []
     for it in range(cfg.iterations):
         prop = cur + sd * rng.standard_normal(2)
         lp = priors.log_density(*prop)
@@ -231,12 +240,11 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
                 cur, cur_ll, cur_post = prop, ll, post
                 n_accept += 1
         if it >= cfg.burn_in:
-            kept_iters.append(it)
             kept_p.append(cur[0])
             kept_k.append(cur[1])
             kept_ll.append(cur_ll)
-    return McmcResult(np.array(kept_iters), np.array(kept_p),
-                      np.array(kept_k), np.array(kept_ll),
+    return McmcResult(np.arange(cfg.burn_in, cfg.iterations),
+                      np.array(kept_p), np.array(kept_k), np.array(kept_ll),
                       n_accept / cfg.iterations)
 
 

@@ -105,6 +105,29 @@ def _converted(convert, value, what: str):
             from None
 
 
+def _integer(value) -> int:
+    """A JSON number with an integral value; booleans are not integers."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def _of_type(kind: type, what: str):
+    """A converter that passes a value of type ``kind`` and rejects others."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"expected {what}")
+        return value
+    return check
+
+
+_flag = _of_type(bool, "true or false")
+_file_name = _of_type(str, "a file name string")
+_object = _of_type(dict, "a JSON object")
+
+
 def _params_from_config(cfg: dict) -> model.ModelParams:
     missing = [f for f in _PARAM_FIELDS if f not in cfg]
     if missing:
@@ -137,10 +160,18 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
-def _required(block: dict, name: str, key: str):
+def _value(block: dict, key: str, convert, default=None):
+    """``convert`` of the block's ``key``, or ``default`` when it has none."""
+    if key not in block:
+        return default
+    return _converted(convert, block[key], key)
+
+
+def _required(block: dict, name: str, key: str, convert):
+    """``convert`` of the ``name`` block's ``key``, which it must have."""
     if key not in block:
         raise errors.ConfigError(f"{name!r} block needs {key!r}")
-    return block[key]
+    return _converted(convert, block[key], key)
 
 
 def _need_seed(args):
@@ -162,6 +193,11 @@ def _outdir(args) -> FilePath:
     return out
 
 
+def _target(args, block: dict, default: str) -> FilePath:
+    """The block's ``output`` file, by default ``default``, in --out."""
+    return _outdir(args) / _value(block, "output", _file_name, default)
+
+
 def _cmd_r0(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
@@ -177,14 +213,13 @@ def _cmd_simulate(args):
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     sim_cfg = simulate.SimConfig(
         params=params, init=init,
-        dt=_converted(float, block.get("dt", _DEFAULT_DT), "dt"),
-        n_steps=_converted(int, _required(block, "simulate", "n_steps"),
-                           "n_steps"),
+        dt=_value(block, "dt", float, _DEFAULT_DT),
+        n_steps=_required(block, "simulate", "n_steps", _integer),
         scheme=block.get("scheme", simulate.SCHEME_EULER),
         seed=_need_seed(args),
         positivity=block.get("positivity", simulate.POSITIVITY_REJECT))
     path = simulate.simulate_path(sim_cfg)
-    target = _outdir(args) / block.get("output", "path.csv")
+    target = _target(args, block, "path.csv")
     simulate.path_to_csv(path, str(target))
     print(f"wrote {target}")
     return 0
@@ -192,30 +227,22 @@ def _cmd_simulate(args):
 
 def _reconstruct_config(cfg, block, seed, pedantic) -> reconstruct.ReconstructConfig:
     params = _params_from_config(cfg)
-    n_pop = block.get("population_n")
     return reconstruct.ReconstructConfig(
         params=params,
-        init_e=_converted(float, block.get("init_e", model.BASELINE_INIT.e),
-                          "init_e"),
-        init_ia=_converted(float,
-                           block.get("init_ia", model.BASELINE_INIT.i_a),
-                           "init_ia"),
-        init_r=_converted(float, block.get("init_r", model.BASELINE_INIT.r),
-                          "init_r"),
-        dt=_converted(float, block.get("dt", _DEFAULT_DT), "dt"),
+        init_e=_value(block, "init_e", float, model.BASELINE_INIT.e),
+        init_ia=_value(block, "init_ia", float, model.BASELINE_INIT.i_a),
+        init_r=_value(block, "init_r", float, model.BASELINE_INIT.r),
+        dt=_value(block, "dt", float, _DEFAULT_DT),
         seed=seed,
         pedantic_paper=pedantic,
-        resample_initials=bool(block.get("resample_initials", False)),
-        population_n=None if n_pop is None
-        else _converted(int, n_pop, "population_n"))
+        resample_initials=_value(block, "resample_initials", _flag, False),
+        population_n=_value(block, "population_n", _integer))
 
 
-def _load_obs(block):
-    if "incidence" not in block or "population_n" not in block:
-        raise errors.ConfigError("block needs incidence and population_n")
-    series = load_incidence(block["incidence"], _converted(
-        int, block["population_n"], "population_n"))
-    return reconstruct.normalize(series)
+def _incidence(block: dict, name: str) -> reconstruct.IncidenceSeries:
+    """The series of the block's ``incidence`` file and ``population_n``."""
+    return load_incidence(_required(block, name, "incidence", _file_name),
+                          _required(block, name, "population_n", _integer))
 
 
 def _cmd_reconstruct(args):
@@ -223,8 +250,8 @@ def _cmd_reconstruct(args):
     block = _block(cfg, "reconstruct")
     seed = _need_seed(args)
     rec_cfg = _reconstruct_config(cfg, block, seed, args.pedantic_paper)
-    obs = _load_obs(block)
-    n_rep = _converted(int, block.get("n_rep", 1), "n_rep")
+    obs = reconstruct.normalize(_incidence(block, "reconstruct"))
+    n_rep = _value(block, "n_rep", _integer, 1)
     paths = reconstruct.replicate_reconstructions(obs, rec_cfg, n_rep)
     out = _outdir(args)
     files = []
@@ -244,22 +271,21 @@ def _cmd_estimate(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
     block = _block(cfg, "estimate")
-    sigma = block.get("known_sigma")
-    sigma = None if sigma is None else _converted(float, sigma, "known_sigma")
-    restrict = bool(block.get("restrict_to_window", False))
+    sigma = _value(block, "known_sigma", float)
+    restrict = _value(block, "restrict_to_window", _flag, False)
     if "path_csv" in block:
-        path = simulate.path_from_csv(block["path_csv"],
+        path = simulate.path_from_csv(_value(block, "path_csv", _file_name),
                                       require_simplex=False)
         report = estimate.estimate_path(path, params, sigma=sigma,
                                         restrict_to_window=restrict)
     else:
         seed = _need_seed(args)
         rec_cfg = _reconstruct_config(cfg, block, seed, args.pedantic_paper)
-        obs = _load_obs(block)
-        n_rep = _converted(int, block.get("n_rep", 2), "n_rep")
+        obs = reconstruct.normalize(_incidence(block, "estimate"))
+        n_rep = _value(block, "n_rep", _integer, 2)
         report = estimate.replicate_estimates(obs, rec_cfg, n_rep,
                                               sigma=sigma)
-    target = _outdir(args) / block.get("output", "estimate.json")
+    target = _target(args, block, "estimate.json")
     _write_json(target, report.to_json_dict())
     print(f"wrote {target}")
     return 0
@@ -269,11 +295,12 @@ def _cmd_validate(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
     block = _block(cfg, "validate")
-    path = simulate.path_from_csv(_required(block, "validate", "path_csv"),
-                                  require_simplex=False)
+    path = simulate.path_from_csv(
+        _required(block, "validate", "path_csv", _file_name),
+        require_simplex=False)
     res = diagnostics.residual_increments(path, params,
                                           method=block.get("method", "em"))
-    alpha = _converted(float, block.get("alpha", 0.01), "alpha")
+    alpha = _value(block, "alpha", float, 0.01)
     verdict = diagnostics.normality_test(res.standardized, alpha=alpha)
     out = _outdir(args)
     simulate._write_rows(str(out / "residuals.csv"),
@@ -292,17 +319,15 @@ def _cmd_mc_study(args):
     params = _params_from_config(cfg)
     block = _block(cfg, "mc_study")
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
-    sigma = block.get("known_sigma")
     rows = diagnostics.consistency_study(
         params, init,
-        _converted(lambda hs: [float(t) for t in hs],
-                   _required(block, "mc_study", "horizons"), "horizons"),
-        n_rep=_converted(int, block.get("n_rep", 200), "n_rep"),
-        dt=_converted(float, block.get("dt", _DEFAULT_DT), "dt"),
+        _required(block, "mc_study", "horizons",
+                  lambda hs: [float(t) for t in hs]),
+        n_rep=_value(block, "n_rep", _integer, 200),
+        dt=_value(block, "dt", float, _DEFAULT_DT),
         seed=_need_seed(args),
-        sigma=None if sigma is None
-        else _converted(float, sigma, "known_sigma"))
-    target = _outdir(args) / block.get("output", "consistency.csv")
+        sigma=_value(block, "known_sigma", float))
+    target = _target(args, block, "consistency.csv")
     diagnostics.consistency_to_csv(rows, str(target))
     print(f"wrote {target}")
     return 0
@@ -312,11 +337,8 @@ def _cmd_mcmc(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
     block = _block(cfg, "mcmc")
-    series = None
-    if "incidence" in block:
-        series = load_incidence(block["incidence"], _converted(
-            int, _required(block, "mcmc", "population_n"), "population_n"))
-    priors_block = block.get("priors", {})
+    series = _incidence(block, "mcmc") if "incidence" in block else None
+    priors_block = _value(block, "priors", _object, {})
     unknown = sorted(set(priors_block)
                      - {f.name for f in dataclasses.fields(bayes.PriorSpec)})
     if unknown:
@@ -325,17 +347,15 @@ def _cmd_mcmc(args):
                                 for k, v in priors_block.items()})
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     mcfg = bayes.McmcConfig(
-        iterations=_converted(int, _required(block, "mcmc", "iterations"),
-                              "iterations"),
-        burn_in=_converted(int, block.get("burn_in", 0), "burn_in"),
-        proposal_sd=_converted(lambda sds: tuple(float(v) for v in sds),
-                               block.get("proposal_sd", (0.02, 0.01)),
-                               "proposal_sd"),
+        iterations=_required(block, "mcmc", "iterations", _integer),
+        burn_in=_value(block, "burn_in", _integer, 0),
+        proposal_sd=_value(block, "proposal_sd",
+                           lambda sds: tuple(float(v) for v in sds),
+                           (0.02, 0.01)),
         seed=_need_seed(args),
-        ode_dt=_converted(float, block.get("ode_dt", bayes.McmcConfig.ode_dt),
-                          "ode_dt"))
+        ode_dt=_value(block, "ode_dt", float, bayes.McmcConfig.ode_dt))
     result = bayes.metropolis(series, priors, params, init, mcfg)
-    target = _outdir(args) / block.get("output", "samples.csv")
+    target = _target(args, block, "samples.csv")
     bayes.samples_to_csv(result, str(target))
     print(f"wrote {target}; acceptance rate = {result.acceptance_rate:.3f}")
     return 0

@@ -4,12 +4,15 @@ Wiener increments are recovered from the susceptible equation only. The
 default method inverts the Euler update algebraically, so increments of a
 simulated path come back exactly up to rounding; the log-difference form
 is available as ``method="log"`` and agrees with it to O(dt^1.5) per step.
+QQ points take their theoretical quantiles from the standard library's
+``statistics.NormalDist``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +25,8 @@ from .simulate import _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
 _CHI2_2_CRITICAL = {0.01: 9.21034037197618, 0.05: 5.991464547107979}
+# a consistency-study horizon is flagged above this window-violation rate
+_FLAG_RATE = 0.20
 
 
 @dataclass(frozen=True)
@@ -92,64 +97,17 @@ def residual_increments(path: Path, params: ModelParams,
     return ResidualSeries(raw, raw / math.sqrt(dt), dt)
 
 
-# Rational approximation of the standard normal quantile function
-# (Acklam's coefficients; absolute error below 1.2e-9 on (0, 1)).
-_ICDF_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-           -2.759285104469687e+02, 1.383577518672690e+02,
-           -3.066479806614716e+01, 2.506628277459239e+00)
-_ICDF_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-           -1.556989798598866e+02, 6.680131188771972e+01,
-           -1.328068155288572e+01)
-_ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-           -2.400758277161838e+00, -2.549732539343734e+00,
-           4.374664141464968e+00, 2.938163982698783e+00)
-_ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01,
-           2.445134137142996e+00, 3.754408661907416e+00)
-_ICDF_SPLIT = 0.02425
-
-
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
+_STANDARD_NORMAL = NormalDist()
 
 
 def inverse_normal_cdf(q):
-    """Standard normal quantiles for q in (0, 1), scalar or array.
-
-    The rational approximation above is accurate to 1.15e-9 relative; one
-    Halley step against the complementary-error-function CDF brings the
-    absolute error to rounding level across the whole domain.
-    """
+    """Standard normal quantiles for q in (0, 1), scalar or array, from
+    ``statistics.NormalDist().inv_cdf`` (accurate to rounding)."""
     q_arr = np.asarray(q, dtype=float)
     if np.any((q_arr <= 0.0) | (q_arr >= 1.0)):
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    out = np.empty_like(q_arr)
-
-    lo = q_arr < _ICDF_SPLIT
-    hi = q_arr > 1.0 - _ICDF_SPLIT
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        p = q_arr[mid] - 0.5
-        t = p * p
-        num = ((((a[0] * t + a[1]) * t + a[2]) * t + a[3]) * t + a[4]) * t + a[5]
-        den = ((((b[0] * t + b[1]) * t + b[2]) * t + b[3]) * t + b[4]) * t + 1.0
-        out[mid] = p * num / den
-
-    def tail(p_tail):
-        t = np.sqrt(-2.0 * np.log(p_tail))
-        num = ((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]
-        den = (((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0
-        return num / den
-
-    if np.any(lo):
-        out[lo] = tail(q_arr[lo])
-    if np.any(hi):
-        out[hi] = -tail(1.0 - q_arr[hi])
-
-    cdf = 0.5 * np.asarray(_ERFC(-out / math.sqrt(2.0)), dtype=float)
-    u = (cdf - q_arr) * math.sqrt(2.0 * math.pi) * np.exp(0.5 * out * out)
-    out -= u / (1.0 + 0.5 * out * u)
-    return float(out) if np.isscalar(q) or np.ndim(q) == 0 else out
+    out = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])(q_arr)
+    return float(out) if np.ndim(q) == 0 else out
 
 
 def qq_points(sample: Sequence[float]) -> np.ndarray:
@@ -203,8 +161,7 @@ def _full_window_mask(x: np.ndarray) -> np.ndarray:
 
 def consistency_study(truth: ModelParams, init: StateVec,
                       horizons: Sequence[float], n_rep: int, dt: float,
-                      seed: int, sigma: Optional[float] = None,
-                      flag_rate: float = 0.20) -> list:
+                      seed: int, sigma: Optional[float] = None) -> list:
     """Median absolute estimation errors across growing horizons.
 
     Simulates ``n_rep`` paths per horizon under ``truth`` (replicate r of
@@ -212,7 +169,7 @@ def consistency_study(truth: ModelParams, init: StateVec,
     estimates (beta_s, beta_a, p) on each full path, and reports the median
     absolute error per parameter together with the fraction of replicates
     whose growth window fails to cover the horizon. A horizon is flagged
-    when that fraction exceeds ``flag_rate``; if every replicate violates
+    when that fraction exceeds ``_FLAG_RATE``; if every replicate violates
     the window the study aborts.
     """
     horizons = list(horizons)
@@ -242,7 +199,7 @@ def consistency_study(truth: ModelParams, init: StateVec,
                                                   - truth.beta_a))),
             abs_err_p=float(np.median(np.abs(est.p - truth.p))),
             window_violation_rate=rate,
-            flagged=rate > flag_rate,
+            flagged=rate > _FLAG_RATE,
             n_failed=n_rep - int(ok.size)))
     return rows
 

@@ -22,7 +22,6 @@ from .errors import (DegenerateDenominatorError, DomainError,
 from .model import HypothesisWindow, ModelParams, Path, hypothesis_window
 from .reconstruct import (ReconstructConfig, _row_path,
                           reconstruct_replicate_arrays)
-from .simulate import WienerIncrements
 
 DENOMINATOR_GUARD = 1e-30
 SINGULARITY_GUARD = 1e-12
@@ -311,8 +310,6 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
     """
     if increments is None:
         increments = path.wiener
-    elif isinstance(increments, WienerIncrements):
-        increments = increments.values
     if increments is None:
         raise MissingIncrementsError(
             "path has no Wiener increments and none were supplied")

@@ -29,6 +29,11 @@ def _require_finite(obj) -> None:
             raise ValueError(f"{f.name} must be finite, got {v!r}")
 
 
+def _require_positive_step(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The nine epidemiological rates plus the noise intensity sigma.
@@ -137,8 +142,7 @@ class Path:
     require_simplex: InitVar[bool] = True
 
     def __post_init__(self, require_simplex):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        _require_positive_step("dt", self.dt)
         arrays = {"s": self.s, "e": self.e, "i_a": self.i_a,
                   "i_s": self.i_s, "r": self.r}
         n = len(self.s)

@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import (EmptySeriesError, LengthMismatchError,
                      NegativeCountError, ReplicateError)
-from .model import INITIAL_POOL_PRIOR, ModelParams, Path
-from .simulate import (POSITIVITY_REJECT, RNG_ALGORITHM, _generator,
-                       _run_batch, _step_s_e_ia, replicate_seed)
+from .model import (INITIAL_POOL_PRIOR, ModelParams, Path,
+                    _require_positive_step)
+from .simulate import (POSITIVITY_REJECT, RNG_ALGORITHM, _run_batch,
+                       _step_s_e_ia, replicate_seed)
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ class ReconstructConfig:
     population_n: Optional[int] = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        _require_positive_step("dt", self.dt)
         for name in ("init_e", "init_ia", "init_r"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
@@ -149,7 +149,8 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
     obs = _check_obs(obs_is)
-    rngs = [_generator(replicate_seed(cfg.seed, i)) for i in range(n_rep)]
+    rngs = [np.random.default_rng(replicate_seed(cfg.seed, i))
+            for i in range(n_rep)]
     e0 = np.full(n_rep, cfg.init_e)
     ia0 = np.full(n_rep, cfg.init_ia)
     if cfg.resample_initials:

@@ -10,14 +10,13 @@ is reproducible end to end.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ParseError, PositivityError
-from .model import ModelParams, Path, StateVec
+from .model import ModelParams, Path, StateVec, _require_positive_step
 
 RNG_ALGORITHM = "pcg64-ziggurat"
 
@@ -43,31 +42,13 @@ class SimConfig:
     positivity: str = POSITIVITY_REJECT
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got "
-                             f"{self.dt!r}")
+        _require_positive_step("dt", self.dt)
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
         if self.scheme not in (SCHEME_EULER, SCHEME_MILSTEIN):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.positivity not in (POSITIVITY_REJECT, POSITIVITY_REFLECT):
             raise ValueError(f"unknown positivity policy {self.positivity!r}")
-
-
-@dataclass(frozen=True)
-class WienerIncrements:
-    """Ordered N(0, dt) increments, one per step."""
-
-    values: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def replicate_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -82,20 +63,16 @@ def replicate_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-def draw_increments(seed, n_steps: int, dt: float) -> WienerIncrements:
-    """Draw the path's Wiener increments; deterministic given the seed."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def draw_increments(seed, n_steps: int, dt: float) -> np.ndarray:
+    """The path's N(0, dt) Wiener increments, one per step, as a read-only
+    array; deterministic given the seed (an int or a SeedSequence)."""
+    _require_positive_step("dt", dt)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    rng = _generator(seed)
-    return WienerIncrements(rng.standard_normal(n_steps) * np.sqrt(dt), dt)
+    rng = np.random.default_rng(seed)
+    dw = rng.standard_normal(n_steps) * np.sqrt(dt)
+    dw.setflags(write=False)
+    return dw
 
 
 def _step_s_e_ia(s, e, ia, is_, r, dw, dt, params):
@@ -142,17 +119,19 @@ def _apply_positivity(values, policy, step_index):
 
 
 def simulate_path(cfg: SimConfig,
-                  increments: Optional[WienerIncrements] = None) -> Path:
+                  increments: Optional[np.ndarray] = None) -> Path:
     """Integrate the stochastic system over n_steps from cfg.init.
 
     Deterministic given cfg; pass ``increments`` to reuse an externally
-    drawn Wiener stream (it must match n_steps and dt).
+    drawn Wiener stream, one increment per step. Under the reflect policy
+    the clamp can move the row sums off one, so that path is built without
+    the simplex check.
     """
     if increments is None:
         increments = draw_increments(cfg.seed, cfg.n_steps, cfg.dt)
-    if len(increments) != cfg.n_steps:
+    dw = np.asarray(increments, dtype=float)
+    if dw.shape != (cfg.n_steps,):
         raise ValueError("increment count does not match n_steps")
-    dw = increments.values
     milstein = cfg.scheme == SCHEME_MILSTEIN
     n = cfg.n_steps
     cols = np.empty((5, n + 1))
@@ -163,7 +142,8 @@ def simulate_path(cfg: SimConfig,
         x = _apply_positivity(x, cfg.positivity, k)
         cols[:, k + 1] = x
     return Path(0.0, cfg.dt, cols[0], cols[1], cols[2], cols[3], cols[4],
-                wiener=dw.copy(), rng_algorithm=RNG_ALGORITHM)
+                wiener=dw.copy(), rng_algorithm=RNG_ALGORITHM,
+                require_simplex=cfg.positivity != POSITIVITY_REFLECT)
 
 
 def simulate_batch(params: ModelParams, init: StateVec, dt: float,
@@ -187,8 +167,8 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
             prev, w, dt, params, milstein)
 
     return _run_batch(init.as_array()[:, None],
-                      [_generator(sd) for sd in seeds], n_steps, dt, step,
-                      positivity, 5)
+                      [np.random.default_rng(sd) for sd in seeds], n_steps,
+                      dt, step, positivity, 5)
 
 
 def _run_batch(init, rngs, n_steps, dt, step, positivity, n_check):

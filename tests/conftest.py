@@ -9,8 +9,8 @@ import pytest
 
 from seirsde import (BASELINE_INIT, BASELINE_PARAMS, DomainError,
                      EmptyInputError, LengthMismatchError, ModelParams,
-                     SingularSystemError, StateVec, WienerIncrements,
-                     ZeroSigmaError, j_functionals, simulate_path)
+                     SingularSystemError, StateVec, ZeroSigmaError,
+                     j_functionals, simulate_path)
 from seirsde.estimate import SINGULARITY_GUARD
 
 
@@ -54,7 +54,7 @@ def one_step(x, dw, cfg, step_index=0):
     increments[-1] = dw
     path = simulate_path(dataclasses.replace(cfg, init=x,
                                              n_steps=step_index + 1),
-                         WienerIncrements(increments, cfg.dt))
+                         increments)
     return path.state(step_index + 1, tol=float("inf"))
 
 

@@ -313,17 +313,32 @@ class TestErrorMapping:
         assert code == EXIT_CODES[ConfigError]
         assert repr(key) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block", [
-        {"n_steps": 10, "dt": None},
-        {"n_steps": 10, "init": {**INTERIOR_BLOCK, "s": [1]}},
-    ], ids=["null-dt", "list-init"])
-    def test_non_numeric_config_value_is_a_config_error(self, tmp_path,
-                                                        capsys, block):
-        cfg = write_config(tmp_path, simulate=block)
-        code = main(["simulate", "--config", cfg, "--seed", "1",
+    @pytest.mark.parametrize("command,block,key", [
+        ("simulate", {"n_steps": 10, "dt": None}, "dt"),
+        ("simulate", {"n_steps": 10, "init": {**INTERIOR_BLOCK, "s": [1]}},
+         "init s"),
+        ("simulate", {"n_steps": 10.9}, "n_steps"),
+        ("simulate", {"n_steps": True}, "n_steps"),
+        ("simulate", {"n_steps": 10, "output": 5}, "output"),
+        ("estimate", {"path_csv": "path.csv", "restrict_to_window": "no"},
+         "restrict_to_window"),
+        ("validate", {"path_csv": 5}, "path_csv"),
+        ("mcmc", {"iterations": 10, "priors": None}, "priors"),
+    ], ids=["null-dt", "list-init", "fractional-n_steps", "boolean-n_steps",
+            "numeric-output", "string-flag", "numeric-path_csv",
+            "null-priors"])
+    def test_non_numeric_config_value_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, command, block, key):
+        monkeypatch.chdir(tmp_path)
+        path_to_csv(simulate_path(SimConfig(BASELINE_PARAMS, INTERIOR_INIT,
+                                            1e-3, 50)), "path.csv")
+        cfg = write_config(tmp_path, **{command: block})
+        code = main([command, "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path)])
         assert code == EXIT_CODES[ConfigError]
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"bad {key} value" in err
 
     def test_distinct_exit_codes(self):
         codes = list(EXIT_CODES.values())

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from seirsde import (BASELINE_PARAMS, DomainError, Path, SimConfig,
-                     SimplexError, StateVec, ZeroSigmaError,
-                     hypothesis_window, r0, simulate_path)
+from seirsde import (BASELINE_PARAMS, DomainError, McmcConfig, Path,
+                     PriorSpec, ReconstructConfig, SimConfig, SimplexError,
+                     StateVec, ZeroSigmaError, hypothesis_window, r0,
+                     simulate_path)
 
 from conftest import (deterministic_drift, lamperti_drift, one_step,
                       sde_drift, stochastic_diffusion)
@@ -39,8 +40,17 @@ class TestModelParams:
     lambda v: SimConfig(params=BASELINE_PARAMS,
                         init=StateVec(0.9, 0.05, 0.02, 0.02, 0.01), dt=v,
                         n_steps=1),
+    lambda v: Path(0.0, v, [1.0], [0.0], [0.0], [0.0], [0.0]),
+    lambda v: ReconstructConfig(params=BASELINE_PARAMS, init_e=0.04,
+                                init_ia=0.027, init_r=0.053, dt=v),
+    lambda v: McmcConfig(iterations=10, burn_in=0, proposal_sd=(0.02, 0.01),
+                         ode_dt=v),
+    lambda v: McmcConfig(iterations=10, burn_in=0, proposal_sd=(v, 0.01)),
+    lambda v: PriorSpec(p_lo=v),
+    lambda v: PriorSpec(kappa_shape=v),
 ], ids=["params-mu", "params-beta_s", "params-sigma", "state-d", "state-s",
-        "simconfig-dt"])
+        "simconfig-dt", "path-dt", "reconstructconfig-dt", "mcmcconfig-ode_dt",
+        "mcmcconfig-proposal_sd", "priorspec-p_lo", "priorspec-kappa_shape"])
 def test_non_finite_values_rejected(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(bad)

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seirsde import (ParseError, Path, PositivityError, SimConfig, StateVec,
-                     WienerIncrements, draw_increments, hypothesis_window,
-                     path_from_csv, path_to_csv, simulate_path)
+                     draw_increments, hypothesis_window, path_from_csv,
+                     path_to_csv, simulate_path)
 from seirsde.simulate import (_CLAMP, POSITIVITY_REFLECT, SCHEME_MILSTEIN,
                               simulate_batch)
 
@@ -32,12 +32,16 @@ class TestDrawIncrements:
     def test_deterministic(self):
         a = draw_increments(42, 100, 1e-3)
         b = draw_increments(42, 100, 1e-3)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            draw_increments(42, 10, 1e-3)[0] = 0.0
 
     def test_law_of_large_numbers_variance(self):
         w = draw_increments(42, 100_000, 1e-3)
-        assert abs(w.values.var() - 1e-3) / 1e-3 < 0.02
-        assert abs(w.values.mean()) < 3 * math.sqrt(1e-3 / 100_000)
+        assert abs(w.var() - 1e-3) / 1e-3 < 0.02
+        assert abs(w.mean()) < 3 * math.sqrt(1e-3 / 100_000)
 
 
 class TestStepEm:
@@ -212,22 +216,26 @@ class TestBatchEngine:
             assert np.array_equal(dw[i], path.wiener)
 
     def test_reflect_batch_matches_scalar(self, params, interior_init):
-        # seeds 0-4 keep each row sum within the simplex tolerance of Path,
-        # so simulate_path returns their clipped paths
-        wild = params.replaced(sigma=30.0)
-        x, dw, failures = simulate_batch(wild, interior_init, 1e-3, 100,
-                                         range(5),
-                                         positivity=POSITIVITY_REFLECT)
-        assert not failures
-        # the policy acts on every row: each has values on the clamp
-        assert np.all(np.any((x == _CLAMP) | (x == 1.0 - _CLAMP),
-                             axis=(1, 2)))
-        for i in range(5):
-            path = simulate_path(cfg_for(wild, interior_init, n_steps=100,
-                                         seed=i,
-                                         positivity=POSITIVITY_REFLECT))
-            assert np.array_equal(x[i], as_matrix(path))
-            assert np.array_equal(dw[i], path.wiener)
+        # at sigma = 30 the policy acts on every row; at sigma = 8 on some,
+        # and there the clamp can move the row sum far off one (seed 191:
+        # 1.96), which simulate_path must accept as the batch does
+        for sigma, n_rep, seed in ((30.0, 5, 0), (8.0, 200, 191)):
+            wild = params.replaced(sigma=sigma)
+            x, dw, failures = simulate_batch(wild, interior_init, 1e-3, 100,
+                                             range(n_rep),
+                                             positivity=POSITIVITY_REFLECT)
+            assert not failures
+            on_clamp = (x == _CLAMP) | (x == 1.0 - _CLAMP)
+            clipped = np.flatnonzero(np.any(on_clamp, axis=(1, 2)))
+            assert seed in clipped
+            if sigma == 30.0:
+                assert len(clipped) == n_rep
+            for i in clipped:
+                path = simulate_path(cfg_for(wild, interior_init, n_steps=100,
+                                             seed=int(i),
+                                             positivity=POSITIVITY_REFLECT))
+                assert np.array_equal(x[i], as_matrix(path))
+                assert np.array_equal(dw[i], path.wiener)
 
     @pytest.mark.parametrize("n_rep,n_steps", [(1, 0), (3, 1), (4, 25)])
     def test_returned_shapes(self, params, interior_init, n_rep, n_steps):
@@ -265,12 +273,11 @@ class TestStrongOrder:
                             dt=dt / refine, scheme=scheme),
                     increments=fine)
                 for lvl, fac in enumerate((1, 2, 4)):
-                    grouped = fine.values.reshape(coarse_steps * fac, -1).sum(axis=1)
-                    agg = WienerIncrements(grouped, dt / fac)
+                    grouped = fine.reshape(coarse_steps * fac, -1).sum(axis=1)
                     path = simulate_path(
                         cfg_for(noisy, interior_init, n_steps=coarse_steps * fac,
                                 dt=dt / fac, scheme=scheme),
-                        increments=agg)
+                        increments=grouped)
                     errs[(scheme, lvl)].append(abs(path.e[-1] - ref.e[-1]))
         for scheme in ("euler-maruyama", "milstein"):
             means = [np.mean(errs[(scheme, lvl)]) for lvl in range(3)]
