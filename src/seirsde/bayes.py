@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, LengthMismatchError
-from .model import (ModelParams, Path, StateVec, _require_finite,
-                    _require_positive_step)
+from .model import (ModelParams, Path, StateVec, _require_count,
+                    _require_finite, _require_positive_step)
 from .reconstruct import IncidenceSeries
 from .simulate import _write_rows
 
@@ -61,7 +61,9 @@ class McmcConfig:
     ode_dt: float = 1.0  # day; RK4 substep for the likelihood evaluations
 
     def __post_init__(self):
-        if not 0 <= self.burn_in < self.iterations:
+        _require_count("iterations", self.iterations)
+        _require_count("burn_in", self.burn_in)
+        if not self.burn_in < self.iterations:
             raise ValueError("need 0 <= burn_in < iterations")
         if len(self.proposal_sd) != 2 or not all(
                 math.isfinite(s) and s >= 0 for s in self.proposal_sd):
@@ -128,8 +130,7 @@ def ode_rk4(params: ModelParams, init: StateVec, dt: float,
     integrator accuracy.
     """
     _require_positive_step("dt", dt)
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
+    _require_count("n_steps", n_steps)
     d0 = 0.0 if init.d is None else init.d
     states = _ode_core(params, (init.s, init.e, init.i_a, init.i_s, init.r, d0),
                        dt, n_steps)

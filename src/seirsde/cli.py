@@ -38,8 +38,7 @@ EXIT_CODES = {
     errors.ReplicateError: 18,
 }
 
-_PARAM_FIELDS = ("mu", "beta_s", "beta_a", "kappa", "p", "theta",
-                 "alpha_a", "alpha_s", "gamma", "sigma")
+_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(model.ModelParams))
 
 # grid step in days for the simulate, reconstruct, estimate and mc-study
 # blocks that do not give one
@@ -151,12 +150,20 @@ def _state_from_config(block, default: model.StateVec) -> model.StateVec:
         raise errors.ConfigError(f"init block missing {exc}") from None
 
 
-def _block(cfg: dict, name: str) -> dict:
+def _reject_unknown(block: dict, known, what: str) -> None:
+    """A ConfigError naming the keys of ``block`` outside ``known``."""
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise errors.ConfigError(f"unknown {what} keys: {unknown}")
+
+
+def _block(cfg: dict, name: str, known) -> dict:
     block = cfg.get(name)
     if block is None:
         raise errors.ConfigError(f"config has no {name!r} block")
     if not isinstance(block, dict):
         raise errors.ConfigError(f"{name!r} block must be a JSON object")
+    _reject_unknown(block, known, f"{name!r} block")
     return block
 
 
@@ -209,20 +216,25 @@ def _cmd_r0(args):
 def _cmd_simulate(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
-    block = _block(cfg, "simulate")
+    block = _block(cfg, "simulate",
+                   {"n_steps", "dt", "init", "scheme", "output"})
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     sim_cfg = simulate.SimConfig(
         params=params, init=init,
         dt=_value(block, "dt", float, _DEFAULT_DT),
         n_steps=_required(block, "simulate", "n_steps", _integer),
         scheme=block.get("scheme", simulate.SCHEME_EULER),
-        seed=_need_seed(args),
-        positivity=block.get("positivity", simulate.POSITIVITY_REJECT))
+        seed=_need_seed(args))
     path = simulate.simulate_path(sim_cfg)
     target = _target(args, block, "path.csv")
     simulate.path_to_csv(path, str(target))
     print(f"wrote {target}")
     return 0
+
+
+# the keys of a block that reconstructs from an incidence series
+_RECONSTRUCT_KEYS = {"incidence", "population_n", "n_rep", "init_e",
+                     "init_ia", "init_r", "dt", "resample_initials"}
 
 
 def _reconstruct_config(cfg, block, seed, pedantic) -> reconstruct.ReconstructConfig:
@@ -247,7 +259,7 @@ def _incidence(block: dict, name: str) -> reconstruct.IncidenceSeries:
 
 def _cmd_reconstruct(args):
     cfg = _load_config(args.config)
-    block = _block(cfg, "reconstruct")
+    block = _block(cfg, "reconstruct", _RECONSTRUCT_KEYS)
     seed = _need_seed(args)
     rec_cfg = _reconstruct_config(cfg, block, seed, args.pedantic_paper)
     obs = reconstruct.normalize(_incidence(block, "reconstruct"))
@@ -270,7 +282,9 @@ def _cmd_reconstruct(args):
 def _cmd_estimate(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
-    block = _block(cfg, "estimate")
+    block = _block(cfg, "estimate", {"path_csv", "restrict_to_window",
+                                     "known_sigma", "output",
+                                     *_RECONSTRUCT_KEYS})
     sigma = _value(block, "known_sigma", float)
     restrict = _value(block, "restrict_to_window", _flag, False)
     if "path_csv" in block:
@@ -294,7 +308,7 @@ def _cmd_estimate(args):
 def _cmd_validate(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
-    block = _block(cfg, "validate")
+    block = _block(cfg, "validate", {"path_csv", "method", "alpha"})
     path = simulate.path_from_csv(
         _required(block, "validate", "path_csv", _file_name),
         require_simplex=False)
@@ -317,7 +331,8 @@ def _cmd_validate(args):
 def _cmd_mc_study(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
-    block = _block(cfg, "mc_study")
+    block = _block(cfg, "mc_study", {"horizons", "n_rep", "dt", "init",
+                                     "known_sigma", "output"})
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)
     rows = diagnostics.consistency_study(
         params, init,
@@ -336,13 +351,14 @@ def _cmd_mc_study(args):
 def _cmd_mcmc(args):
     cfg = _load_config(args.config)
     params = _params_from_config(cfg)
-    block = _block(cfg, "mcmc")
+    block = _block(cfg, "mcmc", {"iterations", "burn_in", "proposal_sd",
+                                 "ode_dt", "incidence", "population_n",
+                                 "priors", "init", "output"})
     series = _incidence(block, "mcmc") if "incidence" in block else None
     priors_block = _value(block, "priors", _object, {})
-    unknown = sorted(set(priors_block)
-                     - {f.name for f in dataclasses.fields(bayes.PriorSpec)})
-    if unknown:
-        raise errors.ConfigError(f"unknown prior keys: {unknown}")
+    _reject_unknown(priors_block,
+                    [f.name for f in dataclasses.fields(bayes.PriorSpec)],
+                    "prior")
     priors = bayes.PriorSpec(**{k: _converted(float, v, f"prior {k}")
                                 for k, v in priors_block.items()})
     init = _state_from_config(block.get("init"), model.BASELINE_INIT)

@@ -28,7 +28,7 @@ class DomainError(SeirSdeError):
 
 
 class PositivityError(SeirSdeError):
-    """A simulated coordinate left [0, 1] under the reject policy."""
+    """A simulated coordinate left [0, 1]; its path stops at that step."""
 
     def __init__(self, step, component, value):
         super().__init__(

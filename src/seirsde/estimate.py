@@ -269,29 +269,25 @@ def j_functionals(path: Path, kappa: float) -> JFunctionals:
 
 
 def estimate_betas(path: Path, params: ModelParams,
-                   sigma: Optional[float] = None,
-                   restrict_to_window: bool = False) -> BetaEstimate:
+                   sigma: Optional[float] = None) -> BetaEstimate:
     """Transmission rates from the 2x2 normal-equations solve.
 
     mu, gamma, kappa are taken as known from ``params``; sigma defaults to
     the quadratic-variation estimate on the same path.
     """
-    path = _maybe_truncate(path, restrict_to_window)
     est = _path_estimates(path, params, sigma, singular=True, j_2=False)
     return BetaEstimate(float(est.beta_s), float(est.beta_a),
                         float(est.condition_number))
 
 
 def estimate_p(path: Path, params: ModelParams,
-               sigma: Optional[float] = None,
-               restrict_to_window: bool = False) -> PEstimate:
+               sigma: Optional[float] = None) -> PEstimate:
     """Closed form for the asymptomatic proportion.
 
     Out-of-range values are returned raw with a flagged clamped copy; no
     silent truncation, since an excursion outside [0, 1] usually signals a
     growth-window violation.
     """
-    path = _maybe_truncate(path, restrict_to_window)
     est = _path_estimates(path, params, sigma, singular=False, j_2=True)
     value = float(est.p)
     return PEstimate(value, *_clamp_p(value))
@@ -340,8 +336,16 @@ def estimate_path(path: Path, params: ModelParams,
                   restrict_to_window: bool = False) -> "EstimateReport":
     """Full single-path report: sigma, both betas, p, J's and the window."""
     window = hypothesis_window(path)
-    work = _maybe_truncate(path, restrict_to_window, window)
-    est = _path_estimates(work, params, sigma, singular=True, j_2=True)
+    if restrict_to_window:
+        end = int(round((window.t_end - path.t0) / path.dt))
+        if end + 1 < len(path):
+            warnings.warn(
+                f"growth window ends at grid index {end}; estimating on the "
+                f"first {end + 1} of {len(path)} points", stacklevel=2)
+        if end < 1:
+            raise DomainError("growth window is empty; nothing to estimate on")
+        path = path.truncated(end + 1)
+    est = _path_estimates(path, params, sigma, singular=True, j_2=True)
     p = float(est.p)
     p_clamped, p_out_of_range = _clamp_p(p)
     return EstimateReport(
@@ -353,22 +357,6 @@ def estimate_path(path: Path, params: ModelParams,
                        float(est.j_2)),
         condition_number=float(est.condition_number), window=window,
         ci=None, n_replicates=None)
-
-
-def _maybe_truncate(path: Path, restrict: bool,
-                    window: Optional[HypothesisWindow] = None) -> Path:
-    if not restrict:
-        return path
-    if window is None:
-        window = hypothesis_window(path)
-    end = int(round((window.t_end - path.t0) / path.dt))
-    if end + 1 < len(path):
-        warnings.warn(
-            f"growth window ends at grid index {end}; estimating on the "
-            f"first {end + 1} of {len(path)} points", stacklevel=3)
-    if end < 1:
-        raise DomainError("growth window is empty; nothing to estimate on")
-    return path.truncated(end + 1)
 
 
 @dataclass(frozen=True)

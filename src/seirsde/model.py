@@ -34,6 +34,13 @@ def _require_positive_step(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_count(name: str, value) -> None:
+    """A nonnegative Python or numpy integer; booleans are not counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The nine epidemiological rates plus the noise intensity sigma.
@@ -143,31 +150,21 @@ class Path:
 
     def __post_init__(self, require_simplex):
         _require_positive_step("dt", self.dt)
-        arrays = {"s": self.s, "e": self.e, "i_a": self.i_a,
-                  "i_s": self.i_s, "r": self.r}
         n = len(self.s)
         if n < 1:
             raise ValueError("a path needs at least one grid point")
-        for name, arr in arrays.items():
-            a = np.ascontiguousarray(arr, dtype=float)
-            if a.shape != (n,):
-                raise ValueError(f"{name} has shape {a.shape}, expected ({n},)")
+        for name, size in (("s", n), ("e", n), ("i_a", n), ("i_s", n),
+                           ("r", n), ("wiener", n - 1), ("d", n)):
+            if getattr(self, name) is None:  # wiener and d are optional
+                continue
+            a = np.ascontiguousarray(getattr(self, name), dtype=float)
+            if a.shape != (size,):
+                raise ValueError(f"{name} has shape {a.shape}, expected "
+                                 f"({size},)")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains non-finite values")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        if self.wiener is not None:
-            w = np.ascontiguousarray(self.wiener, dtype=float)
-            if w.shape != (n - 1,):
-                raise ValueError("wiener must hold one increment per step")
-            w.setflags(write=False)
-            object.__setattr__(self, "wiener", w)
-        if self.d is not None:
-            dd = np.ascontiguousarray(self.d, dtype=float)
-            if dd.shape != (n,):
-                raise ValueError("d must have one value per grid point")
-            dd.setflags(write=False)
-            object.__setattr__(self, "d", dd)
         if require_simplex:
             total = self.s + self.e + self.i_a + self.i_s + self.r
             worst = float(np.abs(total - 1.0).max())

@@ -18,8 +18,7 @@ from .errors import (EmptySeriesError, LengthMismatchError,
                      NegativeCountError, ReplicateError)
 from .model import (INITIAL_POOL_PRIOR, ModelParams, Path,
                     _require_positive_step)
-from .simulate import (POSITIVITY_REJECT, RNG_ALGORITHM, _run_batch,
-                       _step_s_e_ia, replicate_seed)
+from .simulate import RNG_ALGORITHM, _run_batch, _step_s_e_ia, replicate_seed
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,7 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
         nxt[3] = obs[k + 1]
         nxt[4] = 1.0 - nxt[0] - nxt[1] - nxt[2] - nxt[3]
 
-    return _run_batch(init, rngs, len(obs) - 1, dt, step, POSITIVITY_REJECT,
-                      3)
+    return _run_batch(init, rngs, len(obs) - 1, dt, step, 3)
 
 
 def replicate_reconstructions(obs_is, cfg: ReconstructConfig,

@@ -16,16 +16,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParseError, PositivityError
-from .model import ModelParams, Path, StateVec, _require_positive_step
+from .model import (ModelParams, Path, StateVec, _require_count,
+                    _require_positive_step)
 
 RNG_ALGORITHM = "pcg64-ziggurat"
 
 SCHEME_EULER = "euler-maruyama"
 SCHEME_MILSTEIN = "milstein"
-POSITIVITY_REJECT = "reject"
-POSITIVITY_REFLECT = "reflect"
 
-_CLAMP = 1e-12
 _COMPONENTS = ("s", "e", "i_a", "i_s", "r")
 
 
@@ -39,16 +37,12 @@ class SimConfig:
     n_steps: int
     scheme: str = SCHEME_EULER
     seed: int = 0
-    positivity: str = POSITIVITY_REJECT
 
     def __post_init__(self):
         _require_positive_step("dt", self.dt)
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
+        _require_count("n_steps", self.n_steps)
         if self.scheme not in (SCHEME_EULER, SCHEME_MILSTEIN):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.positivity not in (POSITIVITY_REJECT, POSITIVITY_REFLECT):
-            raise ValueError(f"unknown positivity policy {self.positivity!r}")
 
 
 def replicate_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -67,8 +61,7 @@ def draw_increments(seed, n_steps: int, dt: float) -> np.ndarray:
     """The path's N(0, dt) Wiener increments, one per step, as a read-only
     array; deterministic given the seed (an int or a SeedSequence)."""
     _require_positive_step("dt", dt)
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
+    _require_count("n_steps", n_steps)
     rng = np.random.default_rng(seed)
     dw = rng.standard_normal(n_steps) * np.sqrt(dt)
     dw.setflags(write=False)
@@ -109,23 +102,13 @@ def _step_values(x, dw, dt, params, milstein):
     return s1, e1, ia1, is1, r1
 
 
-def _apply_positivity(values, policy, step_index):
-    if policy == POSITIVITY_REJECT:
-        for name, v in zip(_COMPONENTS, values):
-            if not 0.0 <= v <= 1.0:
-                raise PositivityError(step_index, name, v)
-        return values
-    return tuple(min(max(v, _CLAMP), 1.0 - _CLAMP) for v in values)
-
-
 def simulate_path(cfg: SimConfig,
                   increments: Optional[np.ndarray] = None) -> Path:
     """Integrate the stochastic system over n_steps from cfg.init.
 
     Deterministic given cfg; pass ``increments`` to reuse an externally
-    drawn Wiener stream, one increment per step. Under the reflect policy
-    the clamp can move the row sums off one, so that path is built without
-    the simplex check.
+    drawn Wiener stream, one increment per step. Raises PositivityError
+    naming the first step and component that leave [0, 1].
     """
     if increments is None:
         increments = draw_increments(cfg.seed, cfg.n_steps, cfg.dt)
@@ -139,16 +122,16 @@ def simulate_path(cfg: SimConfig,
     cols[:, 0] = x
     for k in range(n):
         x = _step_values(x, dw[k], cfg.dt, cfg.params, milstein)
-        x = _apply_positivity(x, cfg.positivity, k)
+        for name, v in zip(_COMPONENTS, x):
+            if not 0.0 <= v <= 1.0:
+                raise PositivityError(k, name, v)
         cols[:, k + 1] = x
     return Path(0.0, cfg.dt, cols[0], cols[1], cols[2], cols[3], cols[4],
-                wiener=dw.copy(), rng_algorithm=RNG_ALGORITHM,
-                require_simplex=cfg.positivity != POSITIVITY_REFLECT)
+                wiener=dw.copy(), rng_algorithm=RNG_ALGORITHM)
 
 
 def simulate_batch(params: ModelParams, init: StateVec, dt: float,
-                   n_steps: int, seeds: Sequence, scheme: str = SCHEME_EULER,
-                   positivity: str = POSITIVITY_REJECT):
+                   n_steps: int, seeds: Sequence, scheme: str = SCHEME_EULER):
     """Vectorised engine for Monte Carlo studies.
 
     Integrates one path per seed simultaneously; per-replicate results are
@@ -159,7 +142,7 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
     PositivityError met first (those rows are frozen at the failing step).
     Storage is time-major, so both arrays are transposed views of it.
     """
-    SimConfig(params, init, dt, n_steps, scheme, positivity=positivity)
+    SimConfig(params, init, dt, n_steps, scheme)
     milstein = scheme == SCHEME_MILSTEIN
 
     def step(k, prev, w, nxt):
@@ -168,20 +151,20 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
 
     return _run_batch(init.as_array()[:, None],
                       [np.random.default_rng(sd) for sd in seeds], n_steps,
-                      dt, step, positivity, 5)
+                      dt, step, 5)
 
 
-def _run_batch(init, rngs, n_steps, dt, step, positivity, n_check):
+def _run_batch(init, rngs, n_steps, dt, step, n_check):
     """The batch engine behind ``simulate_batch`` and the reconstruction.
 
     Replicate i starts from column i of ``init`` and draws its increments
     from ``rngs[i]`` as ``draw_increments`` would. State is time-major,
     (5, n_steps + 1, n_rep): step k calls ``step(k, prev, w, nxt)``, which
-    writes the next state into the replicate rows ``nxt`` in place. Then
-    reflect clips every value into (0, 1), or reject freezes each replicate
-    whose first ``n_check`` coordinates left [0, 1] and records the
-    PositivityError of its first offending component in failures. Returns
-    ``(states, increments, failures)``, the arrays as replicate-major views.
+    writes the next state into the replicate rows ``nxt`` in place. A
+    replicate whose first ``n_check`` coordinates left [0, 1] is frozen
+    there, and the PositivityError of its first offending component goes
+    into failures. Returns ``(states, increments, failures)``, the arrays
+    as replicate-major views.
     """
     dw = np.empty((n_steps, len(rngs)))
     for i, rng in enumerate(rngs):
@@ -189,15 +172,11 @@ def _run_batch(init, rngs, n_steps, dt, step, positivity, n_check):
     dw *= np.sqrt(dt)
     x = np.empty((5, n_steps + 1, len(rngs)))
     x[:, 0] = init
-    reflect = positivity == POSITIVITY_REFLECT
     alive = np.ones(len(rngs), dtype=bool)
     failures = {}
     for k, w in enumerate(dw):
         prev, nxt = x[:, k], x[:, k + 1]
         step(k, prev, w, nxt)
-        if reflect:
-            np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
-            continue
         head = nxt[:n_check]
         bad = alive & ~np.all((head >= 0.0) & (head <= 1.0), axis=0)
         for i in np.flatnonzero(bad):

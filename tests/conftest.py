@@ -48,7 +48,8 @@ def one_step(x, dw, cfg, step_index=0):
     """State after step ``step_index`` of ``simulate_path`` from ``x``.
 
     Every earlier step is driven by a zero increment and that step by
-    ``dw``, under the scheme and positivity policy of ``cfg``.
+    ``dw``, under the scheme of ``cfg``; a step that leaves [0, 1] raises
+    PositivityError as ``simulate_path`` does.
     """
     increments = np.zeros(step_index + 1)
     increments[-1] = dw

@@ -293,6 +293,23 @@ class TestErrorMapping:
         assert code == EXIT_CODES[ConfigError]
         assert "p_low" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,block,key", [
+        ("simulate", {"n_steps": 50, "positivity": "reflect"}, "positivity"),
+        ("simulate", {"n_steps": 50, "positivity": "reject"}, "positivity"),
+        ("simulate", {"n_steps": 50, "dtt": 0.5}, "dtt"),
+        ("estimate", {"path_csv": "path.csv", "know_sigma": 0.01},
+         "know_sigma"),
+    ], ids=["simulate-positivity", "simulate-positivity-reject",
+            "simulate-dtt", "estimate-know_sigma"])
+    def test_unknown_block_key_is_a_config_error(self, tmp_path, capsys,
+                                                 command, block, key):
+        cfg = write_config(tmp_path, **{command: block})
+        code = main([command, "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ConfigError]
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "path.csv").exists()
+
     def test_non_finite_parameter_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mu="NaN")
         assert main(["r0", "--config", cfg]) == EXIT_CODES[ConfigError]

@@ -3,8 +3,8 @@ import pytest
 
 from seirsde import (BASELINE_PARAMS, DomainError, McmcConfig, Path,
                      PriorSpec, ReconstructConfig, SimConfig, SimplexError,
-                     StateVec, ZeroSigmaError, hypothesis_window, r0,
-                     simulate_path)
+                     StateVec, ZeroSigmaError, draw_increments,
+                     hypothesis_window, ode_rk4, r0, simulate_path)
 
 from conftest import (deterministic_drift, lamperti_drift, one_step,
                       sde_drift, stochastic_diffusion)
@@ -41,6 +41,9 @@ class TestModelParams:
                         init=StateVec(0.9, 0.05, 0.02, 0.02, 0.01), dt=v,
                         n_steps=1),
     lambda v: Path(0.0, v, [1.0], [0.0], [0.0], [0.0], [0.0]),
+    lambda v: Path(0.0, 0.1, [1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                   [0.0, 0.0], wiener=[v]),
+    lambda v: Path(0.0, 0.1, [1.0], [0.0], [0.0], [0.0], [0.0], d=[v]),
     lambda v: ReconstructConfig(params=BASELINE_PARAMS, init_e=0.04,
                                 init_ia=0.027, init_r=0.053, dt=v),
     lambda v: McmcConfig(iterations=10, burn_in=0, proposal_sd=(0.02, 0.01),
@@ -49,11 +52,29 @@ class TestModelParams:
     lambda v: PriorSpec(p_lo=v),
     lambda v: PriorSpec(kappa_shape=v),
 ], ids=["params-mu", "params-beta_s", "params-sigma", "state-d", "state-s",
-        "simconfig-dt", "path-dt", "reconstructconfig-dt", "mcmcconfig-ode_dt",
+        "simconfig-dt", "path-dt", "path-wiener", "path-d",
+        "reconstructconfig-dt", "mcmcconfig-ode_dt",
         "mcmcconfig-proposal_sd", "priorspec-p_lo", "priorspec-kappa_shape"])
 def test_non_finite_values_rejected(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(bad)
+
+
+_INIT = StateVec(0.9, 0.05, 0.02, 0.02, 0.01)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SimConfig(BASELINE_PARAMS, _INIT, 1e-3, n_steps=10.5),
+    lambda: SimConfig(BASELINE_PARAMS, _INIT, 1e-3, n_steps=True),
+    lambda: draw_increments(0, 10.0, 1e-3),
+    lambda: ode_rk4(BASELINE_PARAMS, _INIT, 1.0, 4.5),
+    lambda: McmcConfig(10.5, 0, (0.02, 0.01)),
+    lambda: McmcConfig(10, 0.5, (0.02, 0.01)),
+], ids=["simconfig-fraction", "simconfig-bool", "draw_increments",
+        "ode_rk4", "mcmcconfig-iterations", "mcmcconfig-burn_in"])
+def test_non_integral_counts_rejected(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
 
 
 class TestStateVec:

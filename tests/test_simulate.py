@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from seirsde import (ParseError, Path, PositivityError, SimConfig, StateVec,
                      draw_increments, hypothesis_window, path_from_csv,
                      path_to_csv, simulate_path)
-from seirsde.simulate import (_CLAMP, POSITIVITY_REFLECT, SCHEME_MILSTEIN,
-                              simulate_batch)
+from seirsde.simulate import SCHEME_MILSTEIN, simulate_batch
 
 from conftest import as_matrix, one_step, reference_path_csv, sde_drift
 
@@ -80,13 +79,6 @@ class TestStepEm:
         with pytest.raises(PositivityError) as err:
             one_step(baseline_init, 0.5, cfg, step_index=13)
         assert err.value.step == 13
-
-    def test_reflect_policy_clamps(self, params, baseline_init):
-        cfg = cfg_for(params.replaced(sigma=5.0), baseline_init,
-                      positivity=POSITIVITY_REFLECT)
-        out = one_step(baseline_init, 0.5, cfg)
-        assert min(out.as_array()) >= 1e-12
-        assert max(out.as_array()) <= 1.0 - 1e-12
 
 
 class TestStepMilstein:
@@ -167,75 +159,50 @@ class TestSimulatePath:
             simulate_path(cfg)
         assert 0 <= err.value.step < 200
 
-    def test_reflect_mode_completes(self, params, interior_init):
-        cfg = cfg_for(params.replaced(sigma=30.0), interior_init,
-                      n_steps=200, seed=1, positivity=POSITIVITY_REFLECT)
-        path = simulate_path(cfg)
-        assert len(path) == 201
-
     def test_metadata_records_generator(self, params, baseline_init):
         path = simulate_path(cfg_for(params, baseline_init, n_steps=2))
         assert path.rng_algorithm == "pcg64-ziggurat"
 
 
 class TestBatchEngine:
-    @pytest.mark.parametrize("scheme", ["euler-maruyama", "milstein"])
+    @pytest.mark.parametrize("scheme", [{}, {"scheme": SCHEME_MILSTEIN}],
+                             ids=["euler-maruyama", "milstein"])
     def test_batch_matches_scalar(self, params, interior_init, scheme):
         seeds = [3, 11, 42]
         x, dw, failures = simulate_batch(params, interior_init, 1e-3, 50,
-                                         seeds, scheme=scheme)
+                                         seeds, **scheme)
         assert not failures
         for i, seed in enumerate(seeds):
             path = simulate_path(cfg_for(params, interior_init, n_steps=50,
-                                         seed=seed, scheme=scheme))
+                                         seed=seed, **scheme))
             assert np.array_equal(x[i], as_matrix(path))
             assert np.array_equal(dw[i], path.wiener)
 
     def test_batch_reports_failures_per_replicate(self, params, interior_init):
+        # seed 191 is one of the seeds that leave [0, 1] within 100 steps
         wild = params.replaced(sigma=8.0)
+        seeds = [*range(6), 191]
         x, dw, failures = simulate_batch(wild, interior_init, 1e-3, 100,
-                                         range(6))
-        assert failures
+                                         seeds)
+        assert seeds.index(191) in failures
         for idx, exc in failures.items():
             assert isinstance(exc, PositivityError)
-            assert 0 <= idx < 6
+            assert 0 <= idx < len(seeds)
             with pytest.raises(PositivityError) as scalar:
                 simulate_path(cfg_for(wild, interior_init, n_steps=100,
-                                      seed=idx))
+                                      seed=seeds[idx]))
             assert (exc.step, exc.component, exc.value) == (
                 scalar.value.step, scalar.value.component,
                 scalar.value.value)
             # frozen from the failing step on
             assert np.all(x[idx, exc.step + 1:] == x[idx, exc.step])
-        survivors = [i for i in range(6) if i not in failures]
+        survivors = [i for i in range(len(seeds)) if i not in failures]
         assert survivors
         for i in survivors:
             path = simulate_path(cfg_for(wild, interior_init, n_steps=100,
-                                         seed=i))
+                                         seed=seeds[i]))
             assert np.array_equal(x[i], as_matrix(path))
             assert np.array_equal(dw[i], path.wiener)
-
-    def test_reflect_batch_matches_scalar(self, params, interior_init):
-        # at sigma = 30 the policy acts on every row; at sigma = 8 on some,
-        # and there the clamp can move the row sum far off one (seed 191:
-        # 1.96), which simulate_path must accept as the batch does
-        for sigma, n_rep, seed in ((30.0, 5, 0), (8.0, 200, 191)):
-            wild = params.replaced(sigma=sigma)
-            x, dw, failures = simulate_batch(wild, interior_init, 1e-3, 100,
-                                             range(n_rep),
-                                             positivity=POSITIVITY_REFLECT)
-            assert not failures
-            on_clamp = (x == _CLAMP) | (x == 1.0 - _CLAMP)
-            clipped = np.flatnonzero(np.any(on_clamp, axis=(1, 2)))
-            assert seed in clipped
-            if sigma == 30.0:
-                assert len(clipped) == n_rep
-            for i in clipped:
-                path = simulate_path(cfg_for(wild, interior_init, n_steps=100,
-                                             seed=int(i),
-                                             positivity=POSITIVITY_REFLECT))
-                assert np.array_equal(x[i], as_matrix(path))
-                assert np.array_equal(dw[i], path.wiener)
 
     @pytest.mark.parametrize("n_rep,n_steps", [(1, 0), (3, 1), (4, 25)])
     def test_returned_shapes(self, params, interior_init, n_rep, n_steps):
@@ -245,11 +212,10 @@ class TestBatchEngine:
         assert dw.shape == (n_rep, n_steps)
 
     @pytest.mark.parametrize("bad", [{"scheme": "milstien"},
-                                     {"positivity": "rejct"},
                                      {"dt": -1e-3}, {"dt": 0.0},
                                      {"n_steps": -1}],
-                             ids=["scheme", "positivity", "negative-dt",
-                                  "zero-dt", "negative-n_steps"])
+                             ids=["scheme", "negative-dt", "zero-dt",
+                                  "negative-n_steps"])
     def test_rejects_bad_arguments(self, params, interior_init, bad):
         args = {"dt": 1e-3, "n_steps": 10, "seeds": range(3), **bad}
         with pytest.raises(ValueError):
