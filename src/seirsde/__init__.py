@@ -14,11 +14,11 @@ from .diagnostics import (ConsistencyRow, NormalityVerdict, ResidualSeries,
                           consistency_study, inverse_normal_cdf,
                           normality_test, qq_points, residual_increments)
 from .errors import (ConfigError, DegenerateDenominatorError,
-                     DegenerateSampleError, DomainError, EmptyInputError,
-                     EmptySeriesError, LengthMismatchError,
-                     MissingIncrementsError, NegativeCountError, ParseError,
-                     PositivityError, ReplicateError, SeirSdeError,
-                     SimplexError, SingularSystemError, TooFewPointsError,
+                     DegenerateSampleError, DomainError, EmptySeriesError,
+                     LengthMismatchError, MissingIncrementsError,
+                     NegativeCountError, ParseError, PositivityError,
+                     ReplicateError, SeirSdeError, SimplexError,
+                     SingularSystemError, TooFewPointsError,
                      WindowViolatedError, ZeroSigmaError)
 from .estimate import (BetaEstimate, EstimateReport, JFunctionals, PEstimate,
                        SigmaEstimate, estimate_betas, estimate_p,

@@ -23,7 +23,6 @@ EXIT_CODES = {
     errors.ParseError: 3,
     errors.NegativeCountError: 4,
     errors.EmptySeriesError: 5,
-    errors.EmptyInputError: 6,
     errors.LengthMismatchError: 7,
     errors.SimplexError: 8,
     errors.DomainError: 9,
@@ -38,11 +37,12 @@ EXIT_CODES = {
     errors.ReplicateError: 18,
 }
 
-_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(model.ModelParams))
-
 # grid step in days for the simulate, reconstruct, estimate and mc-study
 # blocks that do not give one
 _DEFAULT_DT = 1e-3
+
+# the default of a key that a config object must give
+_REQUIRED = object()
 
 
 def load_incidence(path, population_n: int) -> reconstruct.IncidenceSeries:
@@ -79,21 +79,6 @@ def load_incidence(path, population_n: int) -> reconstruct.IncidenceSeries:
                                        population_n)
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        raise errors.ConfigError("this subcommand needs --config")
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise errors.ConfigError(f"config file {path!r} not found") from None
-    except json.JSONDecodeError as exc:
-        raise errors.ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise errors.ConfigError("config must be a JSON object")
-    return cfg
-
-
 def _converted(convert, value, what: str):
     """``convert(value)`` for a config value; a value it cannot convert,
     such as a JSON null or list where a number belongs, is a ConfigError."""
@@ -124,61 +109,121 @@ def _of_type(kind: type, what: str):
 
 _flag = _of_type(bool, "true or false")
 _file_name = _of_type(str, "a file name string")
-_object = _of_type(dict, "a JSON object")
+_name = _of_type(str, "a name string")
 
 
-def _params_from_config(cfg: dict) -> model.ModelParams:
-    missing = [f for f in _PARAM_FIELDS if f not in cfg]
-    if missing:
-        raise errors.ConfigError(f"missing parameter fields: {missing}")
-    values = {f: _converted(float, cfg[f], f) for f in _PARAM_FIELDS}
-    try:
-        return model.ModelParams(**values)
-    except ValueError as exc:
-        raise errors.ConfigError(f"bad parameter value: {exc}") from None
+def _floats(values) -> tuple:
+    """A JSON list of numbers."""
+    return tuple(float(v) for v in values)
 
 
-def _state_from_config(block, default: model.StateVec) -> model.StateVec:
-    if block is None:
-        return default
-    if not isinstance(block, dict):
-        raise errors.ConfigError("init block must be a JSON object")
-    try:
-        return model.StateVec(**{f: _converted(float, block[f], f"init {f}")
-                                 for f in ("s", "e", "i_a", "i_s", "r")})
-    except KeyError as exc:
-        raise errors.ConfigError(f"init block missing {exc}") from None
+def _read(obj, table: dict, what: str, prefix: str = "",
+          strict: bool = True) -> dict:
+    """The value of each key of ``table`` in the config object ``obj``.
 
-
-def _reject_unknown(block: dict, known, what: str) -> None:
-    """A ConfigError naming the keys of ``block`` outside ``known``."""
-    unknown = sorted(set(block) - set(known))
+    ``table`` maps each key to ``(convert, default)``; a key whose default
+    is ``_REQUIRED`` must be given. Each of these is a ConfigError: ``obj``
+    not a JSON object, a key outside the table (unless ``strict`` is
+    false), a missing required key, and a value that ``convert`` rejects.
+    ``what`` names the object in the message, and ``prefix`` + key a value.
+    """
+    if not isinstance(obj, dict):
+        raise errors.ConfigError(f"bad {what} value {obj!r}: expected a "
+                                 f"JSON object")
+    unknown = sorted(set(obj) - set(table)) if strict else []
     if unknown:
         raise errors.ConfigError(f"unknown {what} keys: {unknown}")
+    missing = [key for key, (_, default) in table.items()
+               if default is _REQUIRED and key not in obj]
+    if missing:
+        raise errors.ConfigError(f"{what} needs {missing}")
+    return {key: default if key not in obj
+            else _converted(convert, obj[key], prefix + key)
+            for key, (convert, default) in table.items()}
 
 
-def _block(cfg: dict, name: str, known) -> dict:
-    block = cfg.get(name)
-    if block is None:
+_PARAMS = {f.name: (float, _REQUIRED)
+           for f in dataclasses.fields(model.ModelParams)}
+_INIT = {name: (float, _REQUIRED) for name in ("s", "e", "i_a", "i_s", "r")}
+_PRIORS = {f.name: (float, f.default)
+           for f in dataclasses.fields(bayes.PriorSpec)}
+
+
+def _state(value) -> model.StateVec:
+    """An ``init`` object: the five fractions of a state."""
+    return model.StateVec(**_read(value, _INIT, "init", "init "))
+
+
+def _priors(value) -> bayes.PriorSpec:
+    """A ``priors`` object: any of the ``PriorSpec`` fields."""
+    return bayes.PriorSpec(**_read(value, _PRIORS, "priors", "prior "))
+
+
+# the key table of each subcommand block; estimate and mcmc have two forms
+_SIMULATE = {
+    "n_steps": (_integer, _REQUIRED), "dt": (float, _DEFAULT_DT),
+    "init": (_state, model.BASELINE_INIT),
+    "scheme": (_name, simulate.SCHEME_EULER),
+    "output": (_file_name, "path.csv")}
+_SERIES = {"incidence": (_file_name, _REQUIRED),
+           "population_n": (_integer, _REQUIRED)}
+# the keys of a block that reconstructs from an incidence series, n_rep aside
+_RECONSTRUCTION = {
+    **_SERIES, "init_e": (float, model.BASELINE_INIT.e),
+    "init_ia": (float, model.BASELINE_INIT.i_a),
+    "init_r": (float, model.BASELINE_INIT.r), "dt": (float, _DEFAULT_DT),
+    "resample_initials": (_flag, False)}
+_RECONSTRUCT = {**_RECONSTRUCTION, "n_rep": (_integer, 1)}
+_ESTIMATE = {"known_sigma": (float, None),
+             "output": (_file_name, "estimate.json")}
+_ESTIMATE_ON_PATH = {**_ESTIMATE, "path_csv": (_file_name, _REQUIRED),
+                     "restrict_to_window": (_flag, False)}
+_ESTIMATE_REPLICATED = {**_ESTIMATE, **_RECONSTRUCTION,
+                        "n_rep": (_integer, 2)}
+_VALIDATE = {"path_csv": (_file_name, _REQUIRED), "method": (_name, "em"),
+             "alpha": (float, 0.01)}
+_MC_STUDY = {
+    "horizons": (_floats, _REQUIRED), "n_rep": (_integer, 200),
+    "dt": (float, _DEFAULT_DT), "init": (_state, model.BASELINE_INIT),
+    "known_sigma": (float, None), "output": (_file_name, "consistency.csv")}
+_MCMC = {
+    "iterations": (_integer, _REQUIRED), "burn_in": (_integer, 0),
+    "proposal_sd": (_floats, (0.02, 0.01)),
+    "ode_dt": (float, bayes.McmcConfig.ode_dt),
+    "priors": (_priors, bayes.PriorSpec()),
+    "init": (_state, model.BASELINE_INIT),
+    "output": (_file_name, "samples.csv")}
+_MCMC_ON_SERIES = {**_MCMC, **_SERIES}
+
+
+def _load_config(path) -> tuple:
+    """The config object of the file and the model parameters at its top
+    level, which may hold other keys: the blocks of the subcommands."""
+    if path is None:
+        raise errors.ConfigError("this subcommand needs --config")
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except FileNotFoundError:
+        raise errors.ConfigError(f"config file {path!r} not found") from None
+    except json.JSONDecodeError as exc:
+        raise errors.ConfigError(f"config is not valid JSON: {exc}") from None
+    params = _read(cfg, _PARAMS, "config", strict=False)
+    return cfg, model.ModelParams(**params)
+
+
+def _block(cfg: dict, name: str, table: dict) -> dict:
+    """The values of the config's ``name`` block, read by ``table``."""
+    if name not in cfg:
         raise errors.ConfigError(f"config has no {name!r} block")
-    if not isinstance(block, dict):
-        raise errors.ConfigError(f"{name!r} block must be a JSON object")
-    _reject_unknown(block, known, f"{name!r} block")
-    return block
+    return _read(cfg[name], table, f"{name!r} block")
 
 
-def _value(block: dict, key: str, convert, default=None):
-    """``convert`` of the block's ``key``, or ``default`` when it has none."""
-    if key not in block:
-        return default
-    return _converted(convert, block[key], key)
-
-
-def _required(block: dict, name: str, key: str, convert):
-    """``convert`` of the ``name`` block's ``key``, which it must have."""
-    if key not in block:
-        raise errors.ConfigError(f"{name!r} block needs {key!r}")
-    return _converted(convert, block[key], key)
+def _has(cfg: dict, name: str, key: str) -> bool:
+    """Does the config's ``name`` block hold ``key``? The answer picks the
+    form of a block that has two."""
+    block = cfg.get(name)
+    return isinstance(block, dict) and key in block
 
 
 def _need_seed(args):
@@ -200,70 +245,45 @@ def _outdir(args) -> FilePath:
     return out
 
 
-def _target(args, block: dict, default: str) -> FilePath:
-    """The block's ``output`` file, by default ``default``, in --out."""
-    return _outdir(args) / _value(block, "output", _file_name, default)
-
-
 def _cmd_r0(args):
-    cfg = _load_config(args.config)
-    params = _params_from_config(cfg)
+    _, params = _load_config(args.config)
     value = model.r0(params, convention=args.r0_convention)
     print(f"{value:#.6g}")
     return 0
 
 
 def _cmd_simulate(args):
-    cfg = _load_config(args.config)
-    params = _params_from_config(cfg)
-    block = _block(cfg, "simulate",
-                   {"n_steps", "dt", "init", "scheme", "output"})
-    init = _state_from_config(block.get("init"), model.BASELINE_INIT)
+    cfg, params = _load_config(args.config)
+    block = _block(cfg, "simulate", _SIMULATE)
     sim_cfg = simulate.SimConfig(
-        params=params, init=init,
-        dt=_value(block, "dt", float, _DEFAULT_DT),
-        n_steps=_required(block, "simulate", "n_steps", _integer),
-        scheme=block.get("scheme", simulate.SCHEME_EULER),
+        params=params, init=block["init"], dt=block["dt"],
+        n_steps=block["n_steps"], scheme=block["scheme"],
         seed=_need_seed(args))
     path = simulate.simulate_path(sim_cfg)
-    target = _target(args, block, "path.csv")
+    target = _outdir(args) / block["output"]
     simulate.path_to_csv(path, str(target))
     print(f"wrote {target}")
     return 0
 
 
-# the keys of a block that reconstructs from an incidence series
-_RECONSTRUCT_KEYS = {"incidence", "population_n", "n_rep", "init_e",
-                     "init_ia", "init_r", "dt", "resample_initials"}
-
-
-def _reconstruct_config(cfg, block, seed, pedantic) -> reconstruct.ReconstructConfig:
-    params = _params_from_config(cfg)
-    return reconstruct.ReconstructConfig(
-        params=params,
-        init_e=_value(block, "init_e", float, model.BASELINE_INIT.e),
-        init_ia=_value(block, "init_ia", float, model.BASELINE_INIT.i_a),
-        init_r=_value(block, "init_r", float, model.BASELINE_INIT.r),
-        dt=_value(block, "dt", float, _DEFAULT_DT),
-        seed=seed,
-        pedantic_paper=pedantic,
-        resample_initials=_value(block, "resample_initials", _flag, False),
-        population_n=_value(block, "population_n", _integer))
-
-
-def _incidence(block: dict, name: str) -> reconstruct.IncidenceSeries:
-    """The series of the block's ``incidence`` file and ``population_n``."""
-    return load_incidence(_required(block, name, "incidence", _file_name),
-                          _required(block, name, "population_n", _integer))
+def _replicated(args, params, block: dict):
+    """The observed fractions and the reconstruction settings of a block
+    read by a table that holds ``_RECONSTRUCTION``."""
+    rec_cfg = reconstruct.ReconstructConfig(
+        params=params, init_e=block["init_e"], init_ia=block["init_ia"],
+        init_r=block["init_r"], dt=block["dt"], seed=_need_seed(args),
+        pedantic_paper=args.pedantic_paper,
+        resample_initials=block["resample_initials"],
+        population_n=block["population_n"])
+    series = load_incidence(block["incidence"], block["population_n"])
+    return reconstruct.normalize(series), rec_cfg
 
 
 def _cmd_reconstruct(args):
-    cfg = _load_config(args.config)
-    block = _block(cfg, "reconstruct", _RECONSTRUCT_KEYS)
-    seed = _need_seed(args)
-    rec_cfg = _reconstruct_config(cfg, block, seed, args.pedantic_paper)
-    obs = reconstruct.normalize(_incidence(block, "reconstruct"))
-    n_rep = _value(block, "n_rep", _integer, 1)
+    cfg, params = _load_config(args.config)
+    block = _block(cfg, "reconstruct", _RECONSTRUCT)
+    obs, rec_cfg = _replicated(args, params, block)
+    n_rep = block["n_rep"]
     paths = reconstruct.replicate_reconstructions(obs, rec_cfg, n_rep)
     out = _outdir(args)
     files = []
@@ -271,7 +291,7 @@ def _cmd_reconstruct(args):
         name = f"reconstruction_{i:04d}.csv"
         simulate.path_to_csv(p, str(out / name))
         files.append(name)
-    manifest = {"n_rep": n_rep, "seed": seed,
+    manifest = {"n_rep": n_rep, "seed": rec_cfg.seed,
                 "rng_algorithm": simulate.RNG_ALGORITHM,
                 "pedantic_paper": args.pedantic_paper, "files": files}
     _write_json(out / "manifest.json", manifest)
@@ -280,42 +300,33 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_estimate(args):
-    cfg = _load_config(args.config)
-    params = _params_from_config(cfg)
-    block = _block(cfg, "estimate", {"path_csv", "restrict_to_window",
-                                     "known_sigma", "output",
-                                     *_RECONSTRUCT_KEYS})
-    sigma = _value(block, "known_sigma", float)
-    restrict = _value(block, "restrict_to_window", _flag, False)
-    if "path_csv" in block:
-        path = simulate.path_from_csv(_value(block, "path_csv", _file_name),
+    cfg, params = _load_config(args.config)
+    if _has(cfg, "estimate", "path_csv"):
+        block = _block(cfg, "estimate", _ESTIMATE_ON_PATH)
+        path = simulate.path_from_csv(block["path_csv"],
                                       require_simplex=False)
-        report = estimate.estimate_path(path, params, sigma=sigma,
-                                        restrict_to_window=restrict)
+        report = estimate.estimate_path(
+            path, params, sigma=block["known_sigma"],
+            restrict_to_window=block["restrict_to_window"])
     else:
-        seed = _need_seed(args)
-        rec_cfg = _reconstruct_config(cfg, block, seed, args.pedantic_paper)
-        obs = reconstruct.normalize(_incidence(block, "estimate"))
-        n_rep = _value(block, "n_rep", _integer, 2)
-        report = estimate.replicate_estimates(obs, rec_cfg, n_rep,
-                                              sigma=sigma)
-    target = _target(args, block, "estimate.json")
+        block = _block(cfg, "estimate", _ESTIMATE_REPLICATED)
+        obs, rec_cfg = _replicated(args, params, block)
+        report = estimate.replicate_estimates(obs, rec_cfg, block["n_rep"],
+                                              sigma=block["known_sigma"])
+    target = _outdir(args) / block["output"]
     _write_json(target, report.to_json_dict())
     print(f"wrote {target}")
     return 0
 
 
 def _cmd_validate(args):
-    cfg = _load_config(args.config)
-    params = _params_from_config(cfg)
-    block = _block(cfg, "validate", {"path_csv", "method", "alpha"})
-    path = simulate.path_from_csv(
-        _required(block, "validate", "path_csv", _file_name),
-        require_simplex=False)
+    cfg, params = _load_config(args.config)
+    block = _block(cfg, "validate", _VALIDATE)
+    path = simulate.path_from_csv(block["path_csv"], require_simplex=False)
     res = diagnostics.residual_increments(path, params,
-                                          method=block.get("method", "em"))
-    alpha = _value(block, "alpha", float, 0.01)
-    verdict = diagnostics.normality_test(res.standardized, alpha=alpha)
+                                          method=block["method"])
+    verdict = diagnostics.normality_test(res.standardized,
+                                         alpha=block["alpha"])
     out = _outdir(args)
     simulate._write_rows(str(out / "residuals.csv"),
                          ["t", "raw", "standardized"],
@@ -329,49 +340,30 @@ def _cmd_validate(args):
 
 
 def _cmd_mc_study(args):
-    cfg = _load_config(args.config)
-    params = _params_from_config(cfg)
-    block = _block(cfg, "mc_study", {"horizons", "n_rep", "dt", "init",
-                                     "known_sigma", "output"})
-    init = _state_from_config(block.get("init"), model.BASELINE_INIT)
+    cfg, params = _load_config(args.config)
+    block = _block(cfg, "mc_study", _MC_STUDY)
     rows = diagnostics.consistency_study(
-        params, init,
-        _required(block, "mc_study", "horizons",
-                  lambda hs: [float(t) for t in hs]),
-        n_rep=_value(block, "n_rep", _integer, 200),
-        dt=_value(block, "dt", float, _DEFAULT_DT),
-        seed=_need_seed(args),
-        sigma=_value(block, "known_sigma", float))
-    target = _target(args, block, "consistency.csv")
+        params, block["init"], block["horizons"], n_rep=block["n_rep"],
+        dt=block["dt"], seed=_need_seed(args), sigma=block["known_sigma"])
+    target = _outdir(args) / block["output"]
     diagnostics.consistency_to_csv(rows, str(target))
     print(f"wrote {target}")
     return 0
 
 
 def _cmd_mcmc(args):
-    cfg = _load_config(args.config)
-    params = _params_from_config(cfg)
-    block = _block(cfg, "mcmc", {"iterations", "burn_in", "proposal_sd",
-                                 "ode_dt", "incidence", "population_n",
-                                 "priors", "init", "output"})
-    series = _incidence(block, "mcmc") if "incidence" in block else None
-    priors_block = _value(block, "priors", _object, {})
-    _reject_unknown(priors_block,
-                    [f.name for f in dataclasses.fields(bayes.PriorSpec)],
-                    "prior")
-    priors = bayes.PriorSpec(**{k: _converted(float, v, f"prior {k}")
-                                for k, v in priors_block.items()})
-    init = _state_from_config(block.get("init"), model.BASELINE_INIT)
+    cfg, params = _load_config(args.config)
+    on_series = _has(cfg, "mcmc", "incidence")
+    block = _block(cfg, "mcmc", _MCMC_ON_SERIES if on_series else _MCMC)
+    series = (load_incidence(block["incidence"], block["population_n"])
+              if on_series else None)
     mcfg = bayes.McmcConfig(
-        iterations=_required(block, "mcmc", "iterations", _integer),
-        burn_in=_value(block, "burn_in", _integer, 0),
-        proposal_sd=_value(block, "proposal_sd",
-                           lambda sds: tuple(float(v) for v in sds),
-                           (0.02, 0.01)),
-        seed=_need_seed(args),
-        ode_dt=_value(block, "ode_dt", float, bayes.McmcConfig.ode_dt))
-    result = bayes.metropolis(series, priors, params, init, mcfg)
-    target = _target(args, block, "samples.csv")
+        iterations=block["iterations"], burn_in=block["burn_in"],
+        proposal_sd=block["proposal_sd"], seed=_need_seed(args),
+        ode_dt=block["ode_dt"])
+    result = bayes.metropolis(series, block["priors"], params, block["init"],
+                              mcfg)
+    target = _outdir(args) / block["output"]
     bayes.samples_to_csv(result, str(target))
     print(f"wrote {target}; acceptance rate = {result.acceptance_rate:.3f}")
     return 0

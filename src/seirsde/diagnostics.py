@@ -173,6 +173,8 @@ def consistency_study(truth: ModelParams, init: StateVec,
     the window the study aborts.
     """
     horizons = list(horizons)
+    if not horizons or n_rep < 1:
+        raise ValueError("a study needs a horizon and a replicate")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
     _check_known_sigma(sigma)

@@ -47,10 +47,6 @@ class EmptySeriesError(SeirSdeError):
     """An incidence series with no records."""
 
 
-class EmptyInputError(SeirSdeError):
-    """A numeric sequence that must be nonempty was empty."""
-
-
 class LengthMismatchError(SeirSdeError):
     """Sequences whose lengths must agree (or meet a minimum) do not."""
 

@@ -131,9 +131,8 @@ class Path:
     Arrays are one value per grid point; ``wiener`` holds the generating
     increments (one per step) when the path came from the simulator, and
     ``d`` the cumulative-death fraction for deterministic integrations.
-    ``rng_algorithm`` records how the increments were drawn, for
-    reproducibility. Arrays are made read-only so paths can be shared
-    freely between threads.
+    Arrays are made read-only so paths can be shared freely between
+    threads.
     """
 
     t0: float
@@ -145,7 +144,6 @@ class Path:
     r: np.ndarray
     wiener: Optional[np.ndarray] = None
     d: Optional[np.ndarray] = None
-    rng_algorithm: Optional[str] = None
     require_simplex: InitVar[bool] = True
 
     def __post_init__(self, require_simplex):
@@ -197,8 +195,7 @@ class Path:
         d = None if self.d is None else self.d[:n_points]
         return Path(self.t0, self.dt, self.s[:n_points], self.e[:n_points],
                     self.i_a[:n_points], self.i_s[:n_points], self.r[:n_points],
-                    wiener=w, d=d, rng_algorithm=self.rng_algorithm,
-                    require_simplex=False)
+                    wiener=w, d=d, require_simplex=False)
 
 
 def r0(params: ModelParams, convention: str = "paper") -> float:

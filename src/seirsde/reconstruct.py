@@ -18,7 +18,7 @@ from .errors import (EmptySeriesError, LengthMismatchError,
                      NegativeCountError, ReplicateError)
 from .model import (INITIAL_POOL_PRIOR, ModelParams, Path,
                     _require_positive_step)
-from .simulate import RNG_ALGORITHM, _run_batch, _step_s_e_ia, replicate_seed
+from .simulate import _run_batch, _step_s_e_ia, replicate_seed
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ def _row_path(x: np.ndarray, dW: np.ndarray, i: int, dt: float) -> Path:
     bitwise.
     """
     return Path(0.0, dt, x[i, :, 0], x[i, :, 1], x[i, :, 2], x[i, :, 3],
-                x[i, :, 4], wiener=dW[i], rng_algorithm=RNG_ALGORITHM,
-                require_simplex=False)
+                x[i, :, 4], wiener=dW[i], require_simplex=False)
 
 
 def reconstruct_latent(obs_is: Sequence[float], cfg: ReconstructConfig) -> Path:

@@ -127,7 +127,7 @@ def simulate_path(cfg: SimConfig,
                 raise PositivityError(k, name, v)
         cols[:, k + 1] = x
     return Path(0.0, cfg.dt, cols[0], cols[1], cols[2], cols[3], cols[4],
-                wiener=dw.copy(), rng_algorithm=RNG_ALGORITHM)
+                wiener=dw.copy())
 
 
 def simulate_batch(params: ModelParams, init: StateVec, dt: float,
@@ -299,5 +299,4 @@ def path_from_csv(source, require_simplex: bool = True) -> Path:
                          f"with t0 = {t0!r}, dt = {dt!r}", line=lineno)
     wiener = data[:-1, 6] if len(header) == 7 else None
     return Path(t0, dt, data[:, 1], data[:, 2], data[:, 3], data[:, 4],
-                data[:, 5], wiener=wiener, rng_algorithm=None,
-                require_simplex=require_simplex)
+                data[:, 5], wiener=wiener, require_simplex=require_simplex)

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from seirsde import (BASELINE_INIT, BASELINE_PARAMS, DomainError,
-                     EmptyInputError, LengthMismatchError, ModelParams,
-                     SingularSystemError, StateVec, ZeroSigmaError,
-                     j_functionals, simulate_path)
+                     LengthMismatchError, ModelParams, SingularSystemError,
+                     StateVec, ZeroSigmaError, j_functionals, simulate_path)
 from seirsde.estimate import SINGULARITY_GUARD
 
 
@@ -221,7 +220,7 @@ def left_riemann(values: Sequence[float], dt: float) -> float:
     """
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
-        raise EmptyInputError("nothing to integrate")
+        raise ValueError("nothing to integrate")
     if dt <= 0:
         raise ValueError("dt must be positive")
     return float(vals.sum() * dt)

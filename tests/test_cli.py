@@ -1,13 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
 
 import seirsde
 from seirsde import BASELINE_PARAMS, SimConfig, path_to_csv, simulate_path
+from seirsde import cli
 from seirsde.cli import EXIT_CODES, load_incidence, main
 from seirsde.errors import (ConfigError, DomainError, NegativeCountError,
                             ParseError)
@@ -299,8 +302,16 @@ class TestErrorMapping:
         ("simulate", {"n_steps": 50, "dtt": 0.5}, "dtt"),
         ("estimate", {"path_csv": "path.csv", "know_sigma": 0.01},
          "know_sigma"),
+        ("estimate", {"path_csv": "path.csv", "n_rep": 50,
+                      "incidence": "nope.csv"}, "incidence"),
+        ("simulate", {"n_steps": 50, "init": {**INTERIOR_BLOCK, "d": 0.5,
+                                              "zz": 1}}, "zz"),
+        ("mcmc", {"iterations": 10, "init": {**INTERIOR_BLOCK, "d": "x"}},
+         "d"),
+        ("mcmc", {"iterations": 10, "population_n": 5}, "population_n"),
     ], ids=["simulate-positivity", "simulate-positivity-reject",
-            "simulate-dtt", "estimate-know_sigma"])
+            "simulate-dtt", "estimate-know_sigma", "estimate-mixed-forms",
+            "simulate-init-extra", "mcmc-init-d", "mcmc-population_n"])
     def test_unknown_block_key_is_a_config_error(self, tmp_path, capsys,
                                                  command, block, key):
         cfg = write_config(tmp_path, **{command: block})
@@ -341,9 +352,10 @@ class TestErrorMapping:
          "restrict_to_window"),
         ("validate", {"path_csv": 5}, "path_csv"),
         ("mcmc", {"iterations": 10, "priors": None}, "priors"),
+        ("simulate", {"n_steps": 10, "init": None}, "init"),
     ], ids=["null-dt", "list-init", "fractional-n_steps", "boolean-n_steps",
             "numeric-output", "string-flag", "numeric-path_csv",
-            "null-priors"])
+            "null-priors", "null-init"])
     def test_non_numeric_config_value_is_a_config_error(
             self, tmp_path, capsys, monkeypatch, command, block, key):
         monkeypatch.chdir(tmp_path)
@@ -356,6 +368,23 @@ class TestErrorMapping:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"bad {key} value" in err
+
+    def test_readme_lists_the_keys_of_each_table(self):
+        readme = (FilePath(__file__).resolve().parents[1]
+                  / "README.md").read_text()
+        rows = dict(re.findall(r"^\| (.+?) \| (.+) \|$", readme, re.M))
+        del rows["object"]  # the header
+        tables = {
+            "top level": cli._PARAMS, "`simulate`": cli._SIMULATE,
+            "`reconstruct`": cli._RECONSTRUCT,
+            "`estimate` with `path_csv`": cli._ESTIMATE_ON_PATH,
+            "`estimate` without `path_csv`": cli._ESTIMATE_REPLICATED,
+            "`validate`": cli._VALIDATE, "`mc_study`": cli._MC_STUDY,
+            "`mcmc`": cli._MCMC_ON_SERIES, "`init`": cli._INIT,
+            "`priors`": cli._PRIORS}
+        assert {row: set(re.findall(r"`([a-z_]+)`", keys))
+                for row, keys in rows.items()} == \
+            {row: set(table) for row, table in tables.items()}
 
     def test_distinct_exit_codes(self):
         codes = list(EXIT_CODES.values())

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seirsde import (DegenerateSampleError, DomainError, Path, SimConfig,
-                     TooFewPointsError, WindowViolatedError, ZeroSigmaError,
-                     consistency_study, hypothesis_window, inverse_normal_cdf,
-                     normality_test, qq_points, residual_increments,
-                     simulate_path)
+from seirsde import (BASELINE_PARAMS, DegenerateSampleError, DomainError,
+                     Path, SimConfig, TooFewPointsError, WindowViolatedError,
+                     ZeroSigmaError, consistency_study, hypothesis_window,
+                     inverse_normal_cdf, normality_test, qq_points,
+                     residual_increments, simulate_path)
 from seirsde.diagnostics import consistency_to_csv, qq_to_csv
 from seirsde.simulate import simulate_batch
+
+from conftest import INTERIOR_INIT
 
 
 def sim(params, init, n_steps=47, seed=0, dt=1e-3):
@@ -38,6 +42,15 @@ class TestResidualIncrements:
             path = sim(params, interior_init, seed=seed)
             res = residual_increments(path, params)
             assert np.abs(res.raw - path.wiener).max() <= 1e-12
+
+    @settings(deadline=None)
+    @given(sigma=st.floats(0.005, 0.05), seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(1, 200))
+    def test_em_round_trip_for_any_draw(self, sigma, seed, n_steps):
+        noisy = BASELINE_PARAMS.replaced(sigma=sigma)
+        path = sim(noisy, INTERIOR_INIT, n_steps=n_steps, seed=seed)
+        res = residual_increments(path, noisy)
+        assert np.abs(res.raw - path.wiener).max() <= 1e-12
 
     def test_em_round_trip_across_noise_levels(self, params, interior_init):
         worst = 0.0
@@ -239,9 +252,13 @@ class TestConsistencyStudy:
                                      and window.t_end == path.t_end))
             assert row.window_violation_rate == np.mean(violated)
 
-    def test_horizons_must_increase(self, params, interior_init):
+    @pytest.mark.parametrize("horizons,n_rep", [([0.04, 0.02], 5),
+                                                ([], 5), ([0.02], 0)],
+                             ids=["decreasing", "no-horizon", "no-replicate"])
+    def test_horizons_must_increase(self, params, interior_init, horizons,
+                                    n_rep):
         with pytest.raises(ValueError):
-            consistency_study(params, interior_init, [0.04, 0.02], 5,
+            consistency_study(params, interior_init, horizons, n_rep,
                               dt=1e-3, seed=0)
 
     def test_csv_headers(self, params, interior_init, tmp_path):

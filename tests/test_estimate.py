@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from seirsde import (DegenerateDenominatorError, DomainError,
-                     EmptyInputError, LengthMismatchError,
-                     MissingIncrementsError, Path, PositivityError,
-                     ReconstructConfig, SimConfig, SingularSystemError,
-                     estimate_betas, estimate_p, estimate_path,
-                     estimate_sigma, girsanov_loglik, j_functionals,
-                     replicate_estimates, simulate_path)
+                     LengthMismatchError, MissingIncrementsError, Path,
+                     PositivityError, ReconstructConfig, SimConfig,
+                     SingularSystemError, estimate_betas, estimate_p,
+                     estimate_path, estimate_sigma, girsanov_loglik,
+                     j_functionals, replicate_estimates, simulate_path)
 from seirsde.estimate import (_CHUNK_ELEMENTS, _estimate_replicates,
                               _kernel)
 from seirsde.simulate import simulate_batch
@@ -48,7 +47,7 @@ class TestLeftRiemann:
         assert abs(approx - 0.5) / 0.5 <= 1.1e-3  # O(dt) error
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValueError, match="nothing to integrate"):
             left_riemann([], 0.1)
 
 

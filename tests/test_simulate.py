@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seirsde import (ParseError, Path, PositivityError, SimConfig, StateVec,
-                     draw_increments, hypothesis_window, path_from_csv,
-                     path_to_csv, simulate_path)
-from seirsde.simulate import SCHEME_MILSTEIN, simulate_batch
+from seirsde import (BASELINE_PARAMS, ParseError, Path, PositivityError,
+                     SimConfig, StateVec, draw_increments, hypothesis_window,
+                     path_from_csv, path_to_csv, simulate_path)
+from seirsde.model import PATH_SIMPLEX_TOL
+from seirsde.simulate import SCHEME_EULER, SCHEME_MILSTEIN, simulate_batch
 
-from conftest import as_matrix, one_step, reference_path_csv, sde_drift
+from conftest import (INTERIOR_INIT, as_matrix, one_step, reference_path_csv,
+                      sde_drift)
 
 
 def cfg_for(params, init, n_steps=47, dt=1e-3, seed=0, **kw):
@@ -159,10 +161,6 @@ class TestSimulatePath:
             simulate_path(cfg)
         assert 0 <= err.value.step < 200
 
-    def test_metadata_records_generator(self, params, baseline_init):
-        path = simulate_path(cfg_for(params, baseline_init, n_steps=2))
-        assert path.rng_algorithm == "pcg64-ziggurat"
-
 
 class TestBatchEngine:
     @pytest.mark.parametrize("scheme", [{}, {"scheme": SCHEME_MILSTEIN}],
@@ -203,6 +201,21 @@ class TestBatchEngine:
                                          seed=seeds[i]))
             assert np.array_equal(x[i], as_matrix(path))
             assert np.array_equal(dw[i], path.wiener)
+
+    @settings(deadline=None)
+    @given(sigma=st.floats(0.0, 30.0), seed=st.integers(0, 2**32 - 1),
+           n_rep=st.integers(1, 6), n_steps=st.integers(0, 120),
+           scheme=st.sampled_from([SCHEME_EULER, SCHEME_MILSTEIN]))
+    def test_rows_stay_on_the_simplex(self, sigma, seed, n_rep, n_steps,
+                                      scheme):
+        # a failed row is frozen at its last state, so it stays there too
+        x, _, failures = simulate_batch(
+            BASELINE_PARAMS.replaced(sigma=sigma), INTERIOR_INIT, 1e-3,
+            n_steps, [seed + i for i in range(n_rep)], scheme=scheme)
+        assert np.all((x >= 0.0) & (x <= 1.0))
+        assert np.abs(x.sum(axis=2) - 1.0).max() <= PATH_SIMPLEX_TOL
+        for i, exc in failures.items():
+            assert np.all(x[i, exc.step + 1:] == x[i, exc.step])
 
     @pytest.mark.parametrize("n_rep,n_steps", [(1, 0), (3, 1), (4, 25)])
     def test_returned_shapes(self, params, interior_init, n_rep, n_steps):
