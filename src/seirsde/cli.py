@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path as FilePath
 
@@ -84,16 +85,22 @@ def _converted(convert, value, what: str):
     such as a JSON null or list where a number belongs, is a ConfigError."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise errors.ConfigError(f"bad {what} value {value!r}: {exc}") \
             from None
 
 
+def _real(value) -> float:
+    """A finite JSON number; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return float(value)
+
+
 def _integer(value) -> int:
     """A JSON number with an integral value; booleans are not integers."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
+    if not _real(value).is_integer():
         raise ValueError("expected an integer")
     return int(value)
 
@@ -113,8 +120,10 @@ _name = _of_type(str, "a name string")
 
 
 def _floats(values) -> tuple:
-    """A JSON list of numbers."""
-    return tuple(float(v) for v in values)
+    """A JSON list of finite numbers."""
+    if not isinstance(values, list):
+        raise ValueError("expected a JSON list of numbers")
+    return tuple(_real(v) for v in values)
 
 
 def _read(obj, table: dict, what: str, prefix: str = "",
@@ -142,10 +151,10 @@ def _read(obj, table: dict, what: str, prefix: str = "",
             for key, (convert, default) in table.items()}
 
 
-_PARAMS = {f.name: (float, _REQUIRED)
+_PARAMS = {f.name: (_real, _REQUIRED)
            for f in dataclasses.fields(model.ModelParams)}
-_INIT = {name: (float, _REQUIRED) for name in ("s", "e", "i_a", "i_s", "r")}
-_PRIORS = {f.name: (float, f.default)
+_INIT = {name: (_real, _REQUIRED) for name in ("s", "e", "i_a", "i_s", "r")}
+_PRIORS = {f.name: (_real, f.default)
            for f in dataclasses.fields(bayes.PriorSpec)}
 
 
@@ -161,7 +170,7 @@ def _priors(value) -> bayes.PriorSpec:
 
 # the key table of each subcommand block; estimate and mcmc have two forms
 _SIMULATE = {
-    "n_steps": (_integer, _REQUIRED), "dt": (float, _DEFAULT_DT),
+    "n_steps": (_integer, _REQUIRED), "dt": (_real, _DEFAULT_DT),
     "init": (_state, model.BASELINE_INIT),
     "scheme": (_name, simulate.SCHEME_EULER),
     "output": (_file_name, "path.csv")}
@@ -169,27 +178,26 @@ _SERIES = {"incidence": (_file_name, _REQUIRED),
            "population_n": (_integer, _REQUIRED)}
 # the keys of a block that reconstructs from an incidence series, n_rep aside
 _RECONSTRUCTION = {
-    **_SERIES, "init_e": (float, model.BASELINE_INIT.e),
-    "init_ia": (float, model.BASELINE_INIT.i_a),
-    "init_r": (float, model.BASELINE_INIT.r), "dt": (float, _DEFAULT_DT),
+    **_SERIES, "init_e": (_real, model.BASELINE_INIT.e),
+    "init_ia": (_real, model.BASELINE_INIT.i_a),
+    "init_r": (_real, model.BASELINE_INIT.r), "dt": (_real, _DEFAULT_DT),
     "resample_initials": (_flag, False)}
 _RECONSTRUCT = {**_RECONSTRUCTION, "n_rep": (_integer, 1)}
-_ESTIMATE = {"known_sigma": (float, None),
+_ESTIMATE = {"known_sigma": (_real, None),
              "output": (_file_name, "estimate.json")}
-_ESTIMATE_ON_PATH = {**_ESTIMATE, "path_csv": (_file_name, _REQUIRED),
-                     "restrict_to_window": (_flag, False)}
+_ESTIMATE_ON_PATH = {**_ESTIMATE, "path_csv": (_file_name, _REQUIRED)}
 _ESTIMATE_REPLICATED = {**_ESTIMATE, **_RECONSTRUCTION,
                         "n_rep": (_integer, 2)}
 _VALIDATE = {"path_csv": (_file_name, _REQUIRED), "method": (_name, "em"),
-             "alpha": (float, 0.01)}
+             "alpha": (_real, 0.01)}
 _MC_STUDY = {
     "horizons": (_floats, _REQUIRED), "n_rep": (_integer, 200),
-    "dt": (float, _DEFAULT_DT), "init": (_state, model.BASELINE_INIT),
-    "known_sigma": (float, None), "output": (_file_name, "consistency.csv")}
+    "dt": (_real, _DEFAULT_DT), "init": (_state, model.BASELINE_INIT),
+    "known_sigma": (_real, None), "output": (_file_name, "consistency.csv")}
 _MCMC = {
     "iterations": (_integer, _REQUIRED), "burn_in": (_integer, 0),
     "proposal_sd": (_floats, (0.02, 0.01)),
-    "ode_dt": (float, bayes.McmcConfig.ode_dt),
+    "ode_dt": (_real, bayes.McmcConfig.ode_dt),
     "priors": (_priors, bayes.PriorSpec()),
     "init": (_state, model.BASELINE_INIT),
     "output": (_file_name, "samples.csv")}
@@ -305,9 +313,8 @@ def _cmd_estimate(args):
         block = _block(cfg, "estimate", _ESTIMATE_ON_PATH)
         path = simulate.path_from_csv(block["path_csv"],
                                       require_simplex=False)
-        report = estimate.estimate_path(
-            path, params, sigma=block["known_sigma"],
-            restrict_to_window=block["restrict_to_window"])
+        report = estimate.estimate_path(path, params,
+                                        sigma=block["known_sigma"])
     else:
         block = _block(cfg, "estimate", _ESTIMATE_REPLICATED)
         obs, rec_cfg = _replicated(args, params, block)

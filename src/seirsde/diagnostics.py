@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
                      WindowViolatedError, ZeroSigmaError)
 from .estimate import _check_known_sigma, _estimate_replicates
-from .model import ModelParams, Path, StateVec, _growth_pointwise
+from .model import ModelParams, Path, StateVec, _window_ends
 from .simulate import _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
@@ -151,14 +151,6 @@ class ConsistencyRow:
     n_failed: int
 
 
-def _full_window_mask(x: np.ndarray) -> np.ndarray:
-    """Per-replicate: does the growth window cover the whole horizon?"""
-    s, e, ia, is_ = x[:, :, 0], x[:, :, 1], x[:, :, 2], x[:, :, 3]
-    pointwise = np.all(_growth_pointwise(s, e, ia, is_), axis=1)
-    end_is_min = np.all(s[:, [-1]] <= s[:, 1:], axis=1)
-    return pointwise & end_is_min
-
-
 def consistency_study(truth: ModelParams, init: StateVec,
                       horizons: Sequence[float], n_rep: int, dt: float,
                       seed: int, sigma: Optional[float] = None) -> list:
@@ -175,6 +167,8 @@ def consistency_study(truth: ModelParams, init: StateVec,
     horizons = list(horizons)
     if not horizons or n_rep < 1:
         raise ValueError("a study needs a horizon and a replicate")
+    if not all(math.isfinite(h) for h in horizons):
+        raise ValueError(f"horizons must be finite, got {horizons!r}")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
     _check_known_sigma(sigma)
@@ -186,7 +180,8 @@ def consistency_study(truth: ModelParams, init: StateVec,
         seeds = [np.random.SeedSequence(seed, spawn_key=(h, i))
                  for i in range(n_rep)]
         x, _, sim_failures = simulate_batch(truth, init, dt, n_steps, seeds)
-        violated = ~_full_window_mask(x)
+        violated = _window_ends(x[:, :, 0], x[:, :, 1], x[:, :, 2],
+                                x[:, :, 3]) != n_steps
         rate = float(np.mean(violated))
         if np.all(violated):
             raise WindowViolatedError(

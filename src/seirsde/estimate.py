@@ -10,7 +10,7 @@ proportion has its own closed form; all three accept a known sigma instead.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -224,8 +224,9 @@ def _need_two_points(path: Path) -> None:
 
 
 def _check_known_sigma(sigma: Optional[float]) -> None:
-    if sigma is not None and sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if sigma is not None and not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be nonnegative and finite, got "
+                         f"{sigma!r}")
 
 
 def _clamp_p(p: float) -> tuple:
@@ -332,19 +333,9 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
 
 
 def estimate_path(path: Path, params: ModelParams,
-                  sigma: Optional[float] = None,
-                  restrict_to_window: bool = False) -> "EstimateReport":
+                  sigma: Optional[float] = None) -> "EstimateReport":
     """Full single-path report: sigma, both betas, p, J's and the window."""
     window = hypothesis_window(path)
-    if restrict_to_window:
-        end = int(round((window.t_end - path.t0) / path.dt))
-        if end + 1 < len(path):
-            warnings.warn(
-                f"growth window ends at grid index {end}; estimating on the "
-                f"first {end + 1} of {len(path)} points", stacklevel=2)
-        if end < 1:
-            raise DomainError("growth window is empty; nothing to estimate on")
-        path = path.truncated(end + 1)
     est = _path_estimates(path, params, sigma, singular=True, j_2=True)
     p = float(est.p)
     p_clamped, p_out_of_range = _clamp_p(p)

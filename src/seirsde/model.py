@@ -187,16 +187,6 @@ class Path:
         return StateVec(float(self.s[k]), float(self.e[k]), float(self.i_a[k]),
                         float(self.i_s[k]), float(self.r[k]), d_k, tol=tol)
 
-    def truncated(self, n_points: int) -> "Path":
-        """Prefix of the first ``n_points`` grid points."""
-        if not 1 <= n_points <= len(self):
-            raise ValueError("n_points out of range")
-        w = None if self.wiener is None else self.wiener[: n_points - 1]
-        d = None if self.d is None else self.d[:n_points]
-        return Path(self.t0, self.dt, self.s[:n_points], self.e[:n_points],
-                    self.i_a[:n_points], self.i_s[:n_points], self.r[:n_points],
-                    wiener=w, d=d, require_simplex=False)
-
 
 def r0(params: ModelParams, convention: str = "paper") -> float:
     """Basic reproduction number of the deterministic system.
@@ -216,12 +206,23 @@ def r0(params: ModelParams, convention: str = "paper") -> float:
     raise ValueError(f"unknown r0 convention {convention!r}")
 
 
-def _growth_pointwise(s, e, ia, is_) -> np.ndarray:
-    """The growth-phase inequalities at every grid point after the first:
-    S below its start and E, I_a, I_s above theirs. Arrays of shape
-    (..., n) with time last; the result has shape (..., n - 1)."""
-    return ((s[..., 1:] < s[..., :1]) & (e[..., 1:] > e[..., :1])
-            & (ia[..., 1:] > ia[..., :1]) & (is_[..., 1:] > is_[..., :1]))
+def _window_ends(s, e, ia, is_) -> np.ndarray:
+    """Grid index at which each row's growth window ends.
+
+    Arrays of shape (..., n) with time last. Steps 1..k are admissible
+    while S stays below its start and E, I_a, I_s above theirs; the window
+    ends at the last admissible index where S attains its minimum over
+    them, or at 0 when step 1 already breaks the inequalities.
+    """
+    admissible = np.logical_and.accumulate(
+        (s[..., 1:] < s[..., :1]) & (e[..., 1:] > e[..., :1])
+        & (ia[..., 1:] > ia[..., :1]) & (is_[..., 1:] > is_[..., :1]),
+        axis=-1)
+    s_min = np.min(s[..., 1:], axis=-1, keepdims=True, where=admissible,
+                   initial=np.inf)
+    at_min = admissible & (s[..., 1:] == s_min)
+    steps = np.broadcast_to(np.arange(1, s.shape[-1]), at_min.shape)
+    return np.max(steps, axis=-1, where=at_min, initial=0)
 
 
 def hypothesis_window(path: Path) -> HypothesisWindow:
@@ -231,18 +232,8 @@ def hypothesis_window(path: Path) -> HypothesisWindow:
     I_a(t) > I_a(t0), I_s(t) > I_s(t0), and S(T*) <= S(t). When the first
     step already violates them the window degenerates to [t0, t0].
     """
-    n = len(path)
-    if n < 2:
-        return HypothesisWindow(path.t0, path.t0, False)
-    pointwise = _growth_pointwise(path.s, path.e, path.i_a, path.i_s)
-    bad = np.flatnonzero(~pointwise)
-    k_max = int(bad[0]) if bad.size else n - 1  # steps 1..k_max all admissible
-    if k_max == 0:
-        return HypothesisWindow(path.t0, path.t0, False)
-    s_prefix = path.s[1: k_max + 1]
-    # the window must end where S attains its running minimum
-    k_end = int(np.flatnonzero(s_prefix == s_prefix.min())[-1]) + 1
-    return HypothesisWindow(path.t0, path.t0 + path.dt * k_end, True)
+    k_end = int(_window_ends(path.s, path.e, path.i_a, path.i_s))
+    return HypothesisWindow(path.t0, path.t0 + path.dt * k_end, k_end > 0)
 
 
 # Baseline calibration for the Mexico City COVID-19 outbreak of spring 2020

@@ -341,27 +341,41 @@ class TestErrorMapping:
         assert code == EXIT_CODES[ConfigError]
         assert repr(key) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,block,key", [
-        ("simulate", {"n_steps": 10, "dt": None}, "dt"),
-        ("simulate", {"n_steps": 10, "init": {**INTERIOR_BLOCK, "s": [1]}},
-         "init s"),
-        ("simulate", {"n_steps": 10.9}, "n_steps"),
-        ("simulate", {"n_steps": True}, "n_steps"),
-        ("simulate", {"n_steps": 10, "output": 5}, "output"),
-        ("estimate", {"path_csv": "path.csv", "restrict_to_window": "no"},
-         "restrict_to_window"),
-        ("validate", {"path_csv": 5}, "path_csv"),
-        ("mcmc", {"iterations": 10, "priors": None}, "priors"),
-        ("simulate", {"n_steps": 10, "init": None}, "init"),
+    @pytest.mark.parametrize("command,blocks,key", [
+        ("simulate", {"simulate": {"n_steps": 10, "dt": None}}, "dt"),
+        ("simulate", {"simulate": {"n_steps": 10, "init": {
+            **INTERIOR_BLOCK, "s": [1]}}}, "init s"),
+        ("simulate", {"simulate": {"n_steps": 10.9}}, "n_steps"),
+        ("simulate", {"simulate": {"n_steps": True}}, "n_steps"),
+        ("simulate", {"simulate": {"n_steps": 10, "output": 5}}, "output"),
+        ("reconstruct", {"reconstruct": {
+            "incidence": "cases.csv", "population_n": 1000,
+            "resample_initials": "no"}}, "resample_initials"),
+        ("validate", {"validate": {"path_csv": 5}}, "path_csv"),
+        ("mcmc", {"mcmc": {"iterations": 10, "priors": None}}, "priors"),
+        ("simulate", {"simulate": {"n_steps": 10, "init": None}}, "init"),
+        ("mc-study", {"mc_study": {"horizons": "24", "dt": 1}}, "horizons"),
+        ("simulate", {"simulate": {"n_steps": 5, "dt": True}}, "dt"),
+        ("simulate", {"sigma": "0.01", "simulate": {"n_steps": 5}},
+         "sigma"),
+        ("estimate", {"estimate": {"path_csv": "path.csv",
+                                   "known_sigma": float("inf")}},
+         "known_sigma"),
+        ("mc-study", {"mc_study": {"horizons": [0.02, float("inf")]}},
+         "horizons"),
+        ("mcmc", {"mcmc": {"iterations": 10, "proposal_sd": "12"}},
+         "proposal_sd"),
     ], ids=["null-dt", "list-init", "fractional-n_steps", "boolean-n_steps",
             "numeric-output", "string-flag", "numeric-path_csv",
-            "null-priors", "null-init"])
+            "null-priors", "null-init", "string-horizons", "boolean-dt",
+            "string-sigma", "infinite-known_sigma", "infinite-horizon",
+            "string-proposal_sd"])
     def test_non_numeric_config_value_is_a_config_error(
-            self, tmp_path, capsys, monkeypatch, command, block, key):
+            self, tmp_path, capsys, monkeypatch, command, blocks, key):
         monkeypatch.chdir(tmp_path)
         path_to_csv(simulate_path(SimConfig(BASELINE_PARAMS, INTERIOR_INIT,
                                             1e-3, 50)), "path.csv")
-        cfg = write_config(tmp_path, **{command: block})
+        cfg = write_config(tmp_path, **blocks)
         code = main([command, "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path)])
         assert code == EXIT_CODES[ConfigError]

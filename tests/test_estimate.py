@@ -385,20 +385,6 @@ class TestEstimatePathReport:
         assert sorted(payload["j_functionals"]) == ["j_2", "j_a", "j_s", "j_sa"]
         assert sorted(payload["window"]) == ["satisfied", "t_end", "t_start"]
 
-    def test_window_restriction_warns_and_truncates(self, params,
-                                                    interior_init):
-        # find a seed whose window stops early, then ask for truncation
-        for seed in range(30):
-            path = sim(params, interior_init, seed=seed)
-            from seirsde import hypothesis_window
-            w = hypothesis_window(path)
-            if w.satisfied and w.t_end < path.t_end - 10 * path.dt:
-                with pytest.warns(UserWarning):
-                    estimate_path(path, params, sigma=0.01,
-                                  restrict_to_window=True)
-                return
-        pytest.fail("no truncating seed found in scan")
-
 
 class TestReplicateEstimates:
     @staticmethod

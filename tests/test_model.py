@@ -3,8 +3,10 @@ import pytest
 
 from seirsde import (BASELINE_PARAMS, DomainError, McmcConfig, Path,
                      PriorSpec, ReconstructConfig, SimConfig, SimplexError,
-                     StateVec, ZeroSigmaError, draw_increments,
-                     hypothesis_window, ode_rk4, r0, simulate_path)
+                     StateVec, ZeroSigmaError, consistency_study,
+                     draw_increments, estimate_path, hypothesis_window,
+                     ode_rk4, r0, simulate_path)
+from seirsde.model import _window_ends
 
 from conftest import (deterministic_drift, lamperti_drift, one_step,
                       sde_drift, stochastic_diffusion)
@@ -51,10 +53,16 @@ class TestModelParams:
     lambda v: McmcConfig(iterations=10, burn_in=0, proposal_sd=(v, 0.01)),
     lambda v: PriorSpec(p_lo=v),
     lambda v: PriorSpec(kappa_shape=v),
+    lambda v: estimate_path(
+        Path(0.0, 1e-3, [0.9, 0.89], [0.05, 0.055], [0.02, 0.022],
+             [0.02, 0.023], [0.01, 0.01]), BASELINE_PARAMS, sigma=v),
+    lambda v: consistency_study(BASELINE_PARAMS, _INIT, [v], n_rep=2,
+                                dt=1e-3, seed=0),
 ], ids=["params-mu", "params-beta_s", "params-sigma", "state-d", "state-s",
         "simconfig-dt", "path-dt", "path-wiener", "path-d",
         "reconstructconfig-dt", "mcmcconfig-ode_dt",
-        "mcmcconfig-proposal_sd", "priorspec-p_lo", "priorspec-kappa_shape"])
+        "mcmcconfig-proposal_sd", "priorspec-p_lo", "priorspec-kappa_shape",
+        "estimate_path-sigma", "consistency_study-horizon"])
 def test_non_finite_values_rejected(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(bad)
@@ -286,13 +294,28 @@ class TestHypothesisWindow:
         assert ok == w.satisfied
         assert w.t_end == pytest.approx(path.t0 + end * path.dt)
 
+    def test_tied_minimum_of_s_ends_at_the_later_point(self):
+        s = np.array([0.90, 0.88, 0.87, 0.87, 0.88])
+        path = make_path(s, np.linspace(0.02, 0.03, 5),
+                         np.linspace(0.01, 0.02, 5), np.linspace(0.01, 0.02, 5))
+        w = hypothesis_window(path)
+        assert brute_force_window(path) == (3, True)
+        assert w.satisfied
+        assert w.t_end == pytest.approx(path.t0 + 3 * path.dt)
+
     def test_agrees_with_exhaustive_scan_on_simulated_paths(
             self, params, baseline_init):
-        for seed in range(12):
-            cfg = SimConfig(params=params, init=baseline_init, dt=1e-3,
-                            n_steps=47, seed=seed)
-            path = simulate_path(cfg)
+        paths = [simulate_path(SimConfig(params=params, init=baseline_init,
+                                         dt=1e-3, n_steps=47, seed=seed))
+                 for seed in range(12)]
+        for path in paths:
             end, ok = brute_force_window(path)
             w = hypothesis_window(path)
             assert w.satisfied == ok
             assert w.t_end == pytest.approx(path.t0 + end * path.dt)
+        # the same rule on all paths at once, one row each
+        ends = _window_ends(*(np.stack([getattr(p, c) for p in paths])
+                              for c in ("s", "e", "i_a", "i_s")))
+        assert ends.shape == (12,)
+        assert [int(k) for k in ends] == \
+            [brute_force_window(p)[0] for p in paths]
