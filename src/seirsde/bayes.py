@@ -58,7 +58,6 @@ class McmcConfig:
     burn_in: int
     proposal_sd: tuple  # (p scale, kappa scale)
     seed: int = 0
-    ode_dt: float = 1.0  # day; RK4 substep for the likelihood evaluations
 
     def __post_init__(self):
         _require_count("iterations", self.iterations)
@@ -69,7 +68,6 @@ class McmcConfig:
                 math.isfinite(s) and s >= 0 for s in self.proposal_sd):
             raise ValueError(f"proposal_sd must be two finite nonnegative "
                              f"scales, got {self.proposal_sd!r}")
-        _require_positive_step("ode_dt", self.ode_dt)
 
 
 def _ode_core(params: ModelParams, init6, dt: float, n_steps: int):
@@ -123,7 +121,7 @@ def _ode_core(params: ModelParams, init6, dt: float, n_steps: int):
 
 def ode_rk4(params: ModelParams, init: StateVec, dt: float,
             n_steps: int) -> Path:
-    """Integrate the deterministic system; the death integrator rides along.
+    """Integrate the deterministic system; deaths start at zero and ride along.
 
     With theta > 0 disease deaths leave the five tracked fractions, so the
     simplex check is skipped; with theta = 0 the sum is conserved to
@@ -131,20 +129,18 @@ def ode_rk4(params: ModelParams, init: StateVec, dt: float,
     """
     _require_positive_step("dt", dt)
     _require_count("n_steps", n_steps)
-    d0 = 0.0 if init.d is None else init.d
-    states = _ode_core(params, (init.s, init.e, init.i_a, init.i_s, init.r, d0),
-                       dt, n_steps)
+    states = _ode_core(params, (init.s, init.e, init.i_a, init.i_s, init.r,
+                                0.0), dt, n_steps)
     arr = np.array(states)
     return Path(0.0, dt, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3],
                 arr[:, 4], d=arr[:, 5], require_simplex=False)
 
 
-def _running_sums(rate: float, e, stride: int) -> list:
-    """Left-rectangle running sum of rate * e, read every ``stride`` steps."""
+def _running_sums(rate: float, e) -> list:
+    """Left-rectangle running sum of rate * e after each step."""
     lam, sums = 0.0, []
-    for lo in range(0, len(e) - 1, stride):
-        for e_j in e[lo:lo + stride]:
-            lam += rate * e_j
+    for e_j in e[:-1]:
+        lam += rate * e_j
         sums.append(lam)
     return sums
 
@@ -157,7 +153,7 @@ def cumulative_incidence(path: Path, params: ModelParams,
     nondecreasing, zero at the first point.
     """
     rate = (1.0 - params.p) * params.kappa * population_n * path.dt
-    return np.array([0.0] + _running_sums(rate, path.e.tolist(), 1))
+    return np.array([0.0] + _running_sums(rate, path.e.tolist()))
 
 
 def _poisson_sum(counts, lam) -> float:
@@ -202,13 +198,11 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
     """
     rng = np.random.default_rng(cfg.seed)
     n_days = 0 if series is None else len(series) - 1
-    substeps = max(1, int(round(1.0 / cfg.ode_dt)))
     y_days = None
     if series is not None and n_days > 0:
         counts = np.asarray(series.counts, dtype=float)
         y_days = (np.cumsum(counts) - counts[0])[1:].tolist()  # day >= 1
-    init6 = (init.s, init.e, init.i_a, init.i_s, init.r,
-             0.0 if init.d is None else init.d)
+    init6 = (init.s, init.e, init.i_a, init.i_s, init.r, 0.0)
 
     def loglik(p_, kappa_):
         if y_days is None:
@@ -217,9 +211,9 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
         # faster on floats, with bit-identical results
         p_, kappa_ = float(p_), float(kappa_)
         model = fixed.replaced(p=p_, kappa=kappa_)
-        states = _ode_core(model, init6, 1.0 / substeps, n_days * substeps)
-        rate = (1.0 - p_) * kappa_ * series.population_n / substeps
-        lam = _running_sums(rate, [x[1] for x in states], substeps)
+        states = _ode_core(model, init6, 1.0, n_days)  # one step a day
+        rate = (1.0 - p_) * kappa_ * series.population_n
+        lam = _running_sums(rate, [x[1] for x in states])
         try:
             return _poisson_sum(y_days, lam)
         except DomainError:  # a zero mean under a positive count

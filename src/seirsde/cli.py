@@ -197,7 +197,6 @@ _MC_STUDY = {
 _MCMC = {
     "iterations": (_integer, _REQUIRED), "burn_in": (_integer, 0),
     "proposal_sd": (_floats, (0.02, 0.01)),
-    "ode_dt": (_real, bayes.McmcConfig.ode_dt),
     "priors": (_priors, bayes.PriorSpec()),
     "init": (_state, model.BASELINE_INIT),
     "output": (_file_name, "samples.csv")}
@@ -280,7 +279,6 @@ def _replicated(args, params, block: dict):
     rec_cfg = reconstruct.ReconstructConfig(
         params=params, init_e=block["init_e"], init_ia=block["init_ia"],
         init_r=block["init_r"], dt=block["dt"], seed=_need_seed(args),
-        pedantic_paper=args.pedantic_paper,
         resample_initials=block["resample_initials"],
         population_n=block["population_n"])
     series = load_incidence(block["incidence"], block["population_n"])
@@ -300,8 +298,7 @@ def _cmd_reconstruct(args):
         simulate.path_to_csv(p, str(out / name))
         files.append(name)
     manifest = {"n_rep": n_rep, "seed": rec_cfg.seed,
-                "rng_algorithm": simulate.RNG_ALGORITHM,
-                "pedantic_paper": args.pedantic_paper, "files": files}
+                "rng_algorithm": simulate.RNG_ALGORITHM, "files": files}
     _write_json(out / "manifest.json", manifest)
     print(f"wrote {n_rep} reconstruction(s) and manifest to {out}")
     return 0
@@ -366,8 +363,7 @@ def _cmd_mcmc(args):
               if on_series else None)
     mcfg = bayes.McmcConfig(
         iterations=block["iterations"], burn_in=block["burn_in"],
-        proposal_sd=block["proposal_sd"], seed=_need_seed(args),
-        ode_dt=block["ode_dt"])
+        proposal_sd=block["proposal_sd"], seed=_need_seed(args))
     result = bayes.metropolis(series, block["priors"], params, block["init"],
                               mcfg)
     target = _outdir(args) / block["output"]
@@ -397,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="base seed; mandatory for stochastic commands")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--pedantic-paper", action="store_true",
-                        help="reproduce the published reconstruction "
-                             "recurrence verbatim, typos included")
     parser.add_argument("--r0-convention", choices=("paper", "consistent"),
                         default="paper",
                         help="pairing of the branch proportions in R0")

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
                      WindowViolatedError, ZeroSigmaError)
 from .estimate import _check_known_sigma, _estimate_replicates
-from .model import ModelParams, Path, StateVec, _window_ends
+from .model import (ModelParams, Path, StateVec, _require_positive_step,
+                    _window_ends)
 from .simulate import _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
@@ -172,6 +173,7 @@ def consistency_study(truth: ModelParams, init: StateVec,
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
     _check_known_sigma(sigma)
+    _require_positive_step("dt", dt)
     rows = []
     for h, horizon in enumerate(horizons):
         n_steps = int(round(horizon / dt))

@@ -2,10 +2,9 @@
 
 The dynamics split a closed population into susceptible (S), exposed (E),
 asymptomatic infectious (I_a), symptomatic infectious (I_s) and recovered (R)
-fractions, with an optional cumulative-death integrator D for the
-deterministic system. The stochastic system perturbs the natural mortality
-rate with one shared Wiener process, so every compartment is driven by the
-same increments and the fractions always sum to one.
+fractions. The stochastic system perturbs the natural mortality rate with
+one shared Wiener process, so every compartment is driven by the same
+increments and the fractions always sum to one.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ PATH_SIMPLEX_TOL = 1e-9
 def _require_finite(obj) -> None:
     for f in fields(obj):
         v = getattr(obj, f.name)
-        if v is not None and not math.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"{f.name} must be finite, got {v!r}")
 
 
@@ -81,7 +80,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class StateVec:
-    """One point on the compartment simplex, optionally with cumulative deaths.
+    """One point on the compartment simplex.
 
     Construction rejects states off the simplex (sum != 1 beyond ``tol``)
     rather than renormalising, so data errors surface early.
@@ -92,7 +91,6 @@ class StateVec:
     i_a: float
     i_s: float
     r: float
-    d: Optional[float] = None
     tol: InitVar[float] = SIMPLEX_TOL
 
     def __post_init__(self, tol):
@@ -183,9 +181,8 @@ class Path:
         return self.t0 + self.dt * (len(self) - 1)
 
     def state(self, k: int, tol: float = PATH_SIMPLEX_TOL) -> StateVec:
-        d_k = None if self.d is None else float(self.d[k])
         return StateVec(float(self.s[k]), float(self.e[k]), float(self.i_a[k]),
-                        float(self.i_s[k]), float(self.r[k]), d_k, tol=tol)
+                        float(self.i_s[k]), float(self.r[k]), tol=tol)
 
 
 def r0(params: ModelParams, convention: str = "paper") -> float:

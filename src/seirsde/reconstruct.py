@@ -61,7 +61,6 @@ class ReconstructConfig:
     init_r: float
     dt: float
     seed: int = 0
-    pedantic_paper: bool = False
     resample_initials: bool = False
     population_n: Optional[int] = None
 
@@ -120,19 +119,6 @@ def reconstruct_latent(obs_is: Sequence[float], cfg: ReconstructConfig) -> Path:
     return _row_path(x, dW, 0, cfg.dt)
 
 
-def _pedantic_s_e_ia(s, e, ia, is_, r, dw, dt, pr):
-    """S, E and I_a after one step of the published recurrence verbatim,
-    typos included: the S noise is sign-flipped, the I_a line multiplies
-    the E inflow by I_a and replaces its Wiener increment by dt."""
-    fb = pr.beta_s * is_ + pr.beta_a * ia
-    s1 = s - (pr.mu + fb) * dt * s + (pr.mu + pr.gamma * r) * dt \
-        - pr.sigma * (1.0 - s) * dw
-    e1 = e - (pr.kappa + pr.mu) * dt * e + dt * fb * s - pr.sigma * e * dw
-    ia1 = ia - pr.p * pr.kappa * e * dt * ia \
-        - (pr.alpha_a + pr.mu) * ia * dt - pr.sigma * ia * dt
-    return s1, e1, ia1
-
-
 def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
     """Vectorised engine behind the replicate runs.
 
@@ -156,11 +142,10 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
             e0[i], ia0[i] = _draw_initials(cfg, rng)
     init = np.broadcast_arrays(1.0 - e0 - ia0 - cfg.init_r - obs[0], e0,
                                ia0, obs[0], cfg.init_r)
-    s_e_ia = _pedantic_s_e_ia if cfg.pedantic_paper else _step_s_e_ia
     dt, pr = cfg.dt, cfg.params
 
     def step(k, prev, w, nxt):
-        nxt[0], nxt[1], nxt[2] = s_e_ia(*prev, w, dt, pr)
+        nxt[0], nxt[1], nxt[2] = _step_s_e_ia(*prev, w, dt, pr)
         nxt[3] = obs[k + 1]
         nxt[4] = 1.0 - nxt[0] - nxt[1] - nxt[2] - nxt[3]
 

@@ -154,6 +154,7 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--config", cfg, "--seed", "11",
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"n_rep", "seed", "rng_algorithm", "files"}
         assert manifest["n_rep"] == 3
         assert len(manifest["files"]) == 3
         for name in manifest["files"]:
@@ -309,9 +310,11 @@ class TestErrorMapping:
         ("mcmc", {"iterations": 10, "init": {**INTERIOR_BLOCK, "d": "x"}},
          "d"),
         ("mcmc", {"iterations": 10, "population_n": 5}, "population_n"),
+        ("mcmc", {"iterations": 10, "ode_dt": 0.5}, "ode_dt"),
     ], ids=["simulate-positivity", "simulate-positivity-reject",
             "simulate-dtt", "estimate-know_sigma", "estimate-mixed-forms",
-            "simulate-init-extra", "mcmc-init-d", "mcmc-population_n"])
+            "simulate-init-extra", "mcmc-init-d", "mcmc-population_n",
+            "mcmc-ode_dt"])
     def test_unknown_block_key_is_a_config_error(self, tmp_path, capsys,
                                                  command, block, key):
         cfg = write_config(tmp_path, **{command: block})
@@ -320,6 +323,13 @@ class TestErrorMapping:
         assert code == EXIT_CODES[ConfigError]
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "path.csv").exists()
+
+    def test_unknown_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["r0", "--config", cfg, "--pedantic-paper"])
+        assert exc.value.code == 2
+        assert "--pedantic-paper" in capsys.readouterr().err
 
     def test_non_finite_parameter_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mu="NaN")

@@ -37,7 +37,6 @@ class TestModelParams:
     lambda v: BASELINE_PARAMS.replaced(mu=v),
     lambda v: BASELINE_PARAMS.replaced(beta_s=v),
     lambda v: BASELINE_PARAMS.replaced(sigma=v),
-    lambda v: StateVec(0.9, 0.05, 0.02, 0.02, 0.01, d=v),
     lambda v: StateVec(v, 0.05, 0.02, 0.02, 0.01),
     lambda v: SimConfig(params=BASELINE_PARAMS,
                         init=StateVec(0.9, 0.05, 0.02, 0.02, 0.01), dt=v,
@@ -48,8 +47,6 @@ class TestModelParams:
     lambda v: Path(0.0, 0.1, [1.0], [0.0], [0.0], [0.0], [0.0], d=[v]),
     lambda v: ReconstructConfig(params=BASELINE_PARAMS, init_e=0.04,
                                 init_ia=0.027, init_r=0.053, dt=v),
-    lambda v: McmcConfig(iterations=10, burn_in=0, proposal_sd=(0.02, 0.01),
-                         ode_dt=v),
     lambda v: McmcConfig(iterations=10, burn_in=0, proposal_sd=(v, 0.01)),
     lambda v: PriorSpec(p_lo=v),
     lambda v: PriorSpec(kappa_shape=v),
@@ -58,14 +55,23 @@ class TestModelParams:
              [0.02, 0.023], [0.01, 0.01]), BASELINE_PARAMS, sigma=v),
     lambda v: consistency_study(BASELINE_PARAMS, _INIT, [v], n_rep=2,
                                 dt=1e-3, seed=0),
-], ids=["params-mu", "params-beta_s", "params-sigma", "state-d", "state-s",
+    lambda v: consistency_study(BASELINE_PARAMS, _INIT, [0.02], n_rep=2,
+                                dt=v, seed=0),
+], ids=["params-mu", "params-beta_s", "params-sigma", "state-s",
         "simconfig-dt", "path-dt", "path-wiener", "path-d",
-        "reconstructconfig-dt", "mcmcconfig-ode_dt",
-        "mcmcconfig-proposal_sd", "priorspec-p_lo", "priorspec-kappa_shape",
-        "estimate_path-sigma", "consistency_study-horizon"])
+        "reconstructconfig-dt", "mcmcconfig-proposal_sd", "priorspec-p_lo",
+        "priorspec-kappa_shape", "estimate_path-sigma",
+        "consistency_study-horizon", "consistency_study-dt"])
 def test_non_finite_values_rejected(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(bad)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_consistency_study_rejects_a_nonpositive_step(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        consistency_study(BASELINE_PARAMS, _INIT, [0.02], n_rep=2, dt=dt,
+                          seed=0)
 
 
 _INIT = StateVec(0.9, 0.05, 0.02, 0.02, 0.01)

@@ -131,43 +131,14 @@ class TestReconstructLatent:
         assert np.allclose(rec.s, sim.s, rtol=1e-12)
         assert np.allclose(rec.i_a, sim.i_a, rtol=1e-12)
 
-    def test_pedantic_mode_flips_the_s_noise(self, params, interior_init,
-                                             synthetic_obs):
-        cfg = rec_cfg(params, interior_init)
-        cfg_p = rec_cfg(params, interior_init, pedantic_paper=True)
-        a = reconstruct_latent(synthetic_obs, cfg)
-        b = reconstruct_latent(synthetic_obs, cfg_p)
-        dw0 = a.wiener[0]
-        s0 = a.s[0]
-        # first step differs by exactly twice the S diffusion term
-        assert b.s[1] - a.s[1] == pytest.approx(
-            -2 * params.sigma * (1 - s0) * dw0, rel=1e-10)
-
-    def test_pedantic_asymptomatic_line_ignores_noise(self, params,
-                                                      interior_init,
-                                                      synthetic_obs):
-        a = reconstruct_latent(synthetic_obs,
-                               rec_cfg(params, interior_init, seed=5,
-                                       pedantic_paper=True))
-        b = reconstruct_latent(synthetic_obs,
-                               rec_cfg(params, interior_init, seed=6,
-                                       pedantic_paper=True))
-        # the published I_a line replaces its Wiener increment by dt, so
-        # different streams give identical first I_a updates
-        assert a.i_a[1] == b.i_a[1]
-        assert a.s[1] != b.s[1]
-
 
 class TestReplicates:
-    @pytest.mark.parametrize("pedantic", [False, True],
-                             ids=["plain", "pedantic"])
     @pytest.mark.parametrize("resample", [False, True],
-                             ids=["fixed", "resampled"])
+                             ids=["fixed-plain", "resampled-plain"])
     def test_single_replicate_equals_base_call(self, params, interior_init,
-                                               synthetic_obs, resample,
-                                               pedantic):
+                                               synthetic_obs, resample):
         cfg = rec_cfg(params, interior_init, resample_initials=resample,
-                      pedantic_paper=pedantic, population_n=26_446_435)
+                      population_n=26_446_435)
         single = replicate_reconstructions(synthetic_obs, cfg, 1)
         base = reconstruct_latent(synthetic_obs, cfg)
         assert len(single) == 1
