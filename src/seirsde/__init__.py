@@ -11,8 +11,8 @@ baseline alongside.
 from .bayes import (McmcConfig, McmcResult, PriorSpec, cumulative_incidence,
                     metropolis, ode_rk4, poisson_loglik)
 from .diagnostics import (ConsistencyRow, NormalityVerdict, ResidualSeries,
-                          consistency_study, inverse_normal_cdf,
-                          normality_test, qq_points, residual_increments)
+                          consistency_study, normality_test, qq_points,
+                          residual_increments)
 from .errors import (ConfigError, DegenerateDenominatorError,
                      DegenerateSampleError, DomainError, EmptySeriesError,
                      LengthMismatchError, MissingIncrementsError,
@@ -23,12 +23,12 @@ from .errors import (ConfigError, DegenerateDenominatorError,
 from .estimate import (BetaEstimate, EstimateReport, JFunctionals, PEstimate,
                        SigmaEstimate, estimate_betas, estimate_p,
                        estimate_path, estimate_sigma, girsanov_loglik,
-                       j_functionals, replicate_estimates)
+                       replicate_estimates)
 from .model import (BASELINE_INIT, BASELINE_PARAMS, MEXICO_CITY_POPULATION,
                     HypothesisWindow, ModelParams, Path, StateVec,
                     hypothesis_window, r0)
 from .reconstruct import (IncidenceSeries, ReconstructConfig, normalize,
-                          reconstruct_latent, replicate_reconstructions)
+                          replicate_reconstructions)
 from .simulate import (SCHEME_EULER, SCHEME_MILSTEIN, SimConfig,
                        draw_increments, path_from_csv, path_to_csv,
                        replicate_seed, simulate_path)

@@ -1,9 +1,10 @@
 """Deterministic-model Bayesian calibration baseline.
 
-Classical fourth-order Runge-Kutta integrates the death-carrying system,
-cumulative symptomatic incidence gets a Poisson likelihood, and a
-random-walk Metropolis chain samples the symptomatic-split proportion and
-the incubation rate under a uniform/gamma prior pair.
+Classical fourth-order Runge-Kutta integrates the five-compartment
+deterministic system, cumulative symptomatic incidence gets a Poisson
+likelihood, and a random-walk Metropolis chain samples the
+symptomatic-split proportion and the incubation rate under a
+uniform/gamma prior pair.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ class PriorSpec:
 
     def __post_init__(self):
         _require_finite(self)
-        if not self.p_lo < self.p_hi:
-            raise ValueError("p prior needs p_lo < p_hi")
+        if not 0.0 <= self.p_lo < self.p_hi <= 1.0:
+            raise ValueError(f"p prior needs 0 <= p_lo < p_hi <= 1, got "
+                             f"[{self.p_lo!r}, {self.p_hi!r}]")
         if self.kappa_shape <= 0 or self.kappa_rate <= 0:
             raise ValueError("gamma prior needs positive shape and rate")
 
@@ -70,8 +72,8 @@ class McmcConfig:
                              f"scales, got {self.proposal_sd!r}")
 
 
-def _ode_core(params: ModelParams, init6, dt: float, n_steps: int):
-    """RK4 on the six-equation deterministic system, plain floats.
+def _ode_core(params: ModelParams, init5, dt: float, n_steps: int):
+    """RK4 on the five-equation deterministic system, plain floats.
 
     Unrolled because the Metropolis likelihood calls this once per
     proposal; tuple comprehensions would dominate the chain's runtime.
@@ -86,7 +88,6 @@ def _ode_core(params: ModelParams, init6, dt: float, n_steps: int):
     ps = (1.0 - p_) * kp
     pa = p_ * kp
     surv = as_ * (1.0 - th)
-    die = th * as_
 
     def f(s, e, ia, is_, r):
         fb = bs * is_ + ba * ia
@@ -94,46 +95,42 @@ def _ode_core(params: ModelParams, init6, dt: float, n_steps: int):
                 fb * s - ke * e,
                 pa * e - qa * ia,
                 ps * e - qs * is_,
-                aa * ia + surv * is_ - qr * r,
-                die * is_)
+                aa * ia + surv * is_ - qr * r)
 
-    s, e, ia, is_, r, d = (float(v) for v in init6)
-    out = [(s, e, ia, is_, r, d)]
+    s, e, ia, is_, r = (float(v) for v in init5)
+    out = [(s, e, ia, is_, r)]
     h2 = 0.5 * dt
     h6 = dt / 6.0
     for _ in range(n_steps):
-        a0, a1, a2, a3, a4, a5 = f(s, e, ia, is_, r)
-        b0, b1, b2, b3, b4, b5 = f(s + h2 * a0, e + h2 * a1, ia + h2 * a2,
-                                   is_ + h2 * a3, r + h2 * a4)
-        c0, c1, c2, c3, c4, c5 = f(s + h2 * b0, e + h2 * b1, ia + h2 * b2,
-                                   is_ + h2 * b3, r + h2 * b4)
-        d0, d1, d2, d3, d4, d5 = f(s + dt * c0, e + dt * c1, ia + dt * c2,
-                                   is_ + dt * c3, r + dt * c4)
+        a0, a1, a2, a3, a4 = f(s, e, ia, is_, r)
+        b0, b1, b2, b3, b4 = f(s + h2 * a0, e + h2 * a1, ia + h2 * a2,
+                               is_ + h2 * a3, r + h2 * a4)
+        c0, c1, c2, c3, c4 = f(s + h2 * b0, e + h2 * b1, ia + h2 * b2,
+                               is_ + h2 * b3, r + h2 * b4)
+        d0, d1, d2, d3, d4 = f(s + dt * c0, e + dt * c1, ia + dt * c2,
+                               is_ + dt * c3, r + dt * c4)
         s += h6 * (a0 + 2.0 * (b0 + c0) + d0)
         e += h6 * (a1 + 2.0 * (b1 + c1) + d1)
         ia += h6 * (a2 + 2.0 * (b2 + c2) + d2)
         is_ += h6 * (a3 + 2.0 * (b3 + c3) + d3)
         r += h6 * (a4 + 2.0 * (b4 + c4) + d4)
-        d += h6 * (a5 + 2.0 * (b5 + c5) + d5)
-        out.append((s, e, ia, is_, r, d))
+        out.append((s, e, ia, is_, r))
     return out
 
 
 def ode_rk4(params: ModelParams, init: StateVec, dt: float,
             n_steps: int) -> Path:
-    """Integrate the deterministic system; deaths start at zero and ride along.
+    """Integrate the deterministic system with classical RK4.
 
-    With theta > 0 disease deaths leave the five tracked fractions, so the
+    With theta > 0 the recovered compartment receives only the surviving
+    share (1 - theta) alpha_s I_s, so the five fractions lose mass and the
     simplex check is skipped; with theta = 0 the sum is conserved to
     integrator accuracy.
     """
     _require_positive_step("dt", dt)
     _require_count("n_steps", n_steps)
-    states = _ode_core(params, (init.s, init.e, init.i_a, init.i_s, init.r,
-                                0.0), dt, n_steps)
-    arr = np.array(states)
-    return Path(0.0, dt, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3],
-                arr[:, 4], d=arr[:, 5], require_simplex=False)
+    arr = np.array(_ode_core(params, init.as_array(), dt, n_steps))
+    return Path(0.0, dt, *arr.T, require_simplex=False)
 
 
 def _running_sums(rate: float, e) -> list:
@@ -202,7 +199,7 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
     if series is not None and n_days > 0:
         counts = np.asarray(series.counts, dtype=float)
         y_days = (np.cumsum(counts) - counts[0])[1:].tolist()  # day >= 1
-    init6 = (init.s, init.e, init.i_a, init.i_s, init.r, 0.0)
+    init5 = init.as_array()
 
     def loglik(p_, kappa_):
         if y_days is None:
@@ -211,7 +208,7 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
         # faster on floats, with bit-identical results
         p_, kappa_ = float(p_), float(kappa_)
         model = fixed.replaced(p=p_, kappa=kappa_)
-        states = _ode_core(model, init6, 1.0, n_days)  # one step a day
+        states = _ode_core(model, init5, 1.0, n_days)  # one step a day
         rate = (1.0 - p_) * kappa_ * series.population_n
         lam = _running_sums(rate, [x[1] for x in states])
         try:

@@ -101,16 +101,6 @@ def residual_increments(path: Path, params: ModelParams,
 _STANDARD_NORMAL = NormalDist()
 
 
-def inverse_normal_cdf(q):
-    """Standard normal quantiles for q in (0, 1), scalar or array, from
-    ``statistics.NormalDist().inv_cdf`` (accurate to rounding)."""
-    q_arr = np.asarray(q, dtype=float)
-    if np.any((q_arr <= 0.0) | (q_arr >= 1.0)):
-        raise ValueError("quantile levels must lie strictly inside (0, 1)")
-    out = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])(q_arr)
-    return float(out) if np.ndim(q) == 0 else out
-
-
 def qq_points(sample: Sequence[float]) -> np.ndarray:
     """(theoretical, empirical) quantile pairs at plotting positions
     (i - 0.5)/n against the standard normal."""
@@ -119,7 +109,8 @@ def qq_points(sample: Sequence[float]) -> np.ndarray:
     if n < 3:
         raise TooFewPointsError("need at least three points for a QQ set")
     levels = (np.arange(1, n + 1) - 0.5) / n
-    return np.column_stack([inverse_normal_cdf(levels), arr])
+    theoretical = [_STANDARD_NORMAL.inv_cdf(q) for q in levels.tolist()]
+    return np.column_stack([theoretical, arr])
 
 
 def normality_test(sample: Sequence[float], alpha: float = 0.01) -> NormalityVerdict:

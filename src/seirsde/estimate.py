@@ -261,14 +261,6 @@ def estimate_sigma(path: Path) -> SigmaEstimate:
     return SigmaEstimate(float(sig), comps)
 
 
-def j_functionals(path: Path, kappa: float) -> JFunctionals:
-    """J_s, J_a, J_sa and J_2 by left-point rectangles."""
-    _need_two_points(path)
-    cols = _columns(path)
-    _raise_first(_failures(cols))
-    return JFunctionals(*(float(j) for j in _j_terms(cols, path.dt, kappa)))
-
-
 def estimate_betas(path: Path, params: ModelParams,
                    sigma: Optional[float] = None) -> BetaEstimate:
     """Transmission rates from the 2x2 normal-equations solve.

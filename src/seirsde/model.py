@@ -45,8 +45,10 @@ class ModelParams:
     """The nine epidemiological rates plus the noise intensity sigma.
 
     Rates are per day; ``p`` is the asymptomatic-branch proportion of newly
-    infectious individuals, ``theta`` the symptomatic case fatality, and
-    ``sigma`` scales the shared Wiener perturbation (per sqrt(day)).
+    infectious individuals, and ``sigma`` scales the shared Wiener
+    perturbation (per sqrt(day)). ``theta`` is the symptomatic case
+    fatality: the deterministic RK4 sends only (1 - theta) alpha_s I_s into
+    R, and the stochastic system ignores it.
     """
 
     mu: float
@@ -82,7 +84,7 @@ class ModelParams:
 class StateVec:
     """One point on the compartment simplex.
 
-    Construction rejects states off the simplex (sum != 1 beyond ``tol``)
+    Construction rejects states off the simplex (|sum - 1| > SIMPLEX_TOL)
     rather than renormalising, so data errors surface early.
     """
 
@@ -91,17 +93,17 @@ class StateVec:
     i_a: float
     i_s: float
     r: float
-    tol: InitVar[float] = SIMPLEX_TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         _require_finite(self)
         for name in ("s", "e", "i_a", "i_s", "r"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise SimplexError(f"{name} = {v!r} outside [0, 1]")
         total = self.s + self.e + self.i_a + self.i_s + self.r
-        if math.isfinite(tol) and abs(total - 1.0) > tol:
-            raise SimplexError(f"components sum to {total!r}, not 1 within {tol}")
+        if abs(total - 1.0) > SIMPLEX_TOL:
+            raise SimplexError(f"components sum to {total!r}, not 1 within "
+                               f"{SIMPLEX_TOL}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.e, self.i_a, self.i_s, self.r])
@@ -127,8 +129,7 @@ class Path:
     """Uniform-grid trajectory of the five compartments.
 
     Arrays are one value per grid point; ``wiener`` holds the generating
-    increments (one per step) when the path came from the simulator, and
-    ``d`` the cumulative-death fraction for deterministic integrations.
+    increments (one per step) when the path came from the simulator.
     Arrays are made read-only so paths can be shared freely between
     threads.
     """
@@ -141,7 +142,6 @@ class Path:
     i_s: np.ndarray
     r: np.ndarray
     wiener: Optional[np.ndarray] = None
-    d: Optional[np.ndarray] = None
     require_simplex: InitVar[bool] = True
 
     def __post_init__(self, require_simplex):
@@ -150,8 +150,8 @@ class Path:
         if n < 1:
             raise ValueError("a path needs at least one grid point")
         for name, size in (("s", n), ("e", n), ("i_a", n), ("i_s", n),
-                           ("r", n), ("wiener", n - 1), ("d", n)):
-            if getattr(self, name) is None:  # wiener and d are optional
+                           ("r", n), ("wiener", n - 1)):
+            if getattr(self, name) is None:  # wiener is optional
                 continue
             a = np.ascontiguousarray(getattr(self, name), dtype=float)
             if a.shape != (size,):
@@ -179,10 +179,6 @@ class Path:
     @property
     def t_end(self) -> float:
         return self.t0 + self.dt * (len(self) - 1)
-
-    def state(self, k: int, tol: float = PATH_SIMPLEX_TOL) -> StateVec:
-        return StateVec(float(self.s[k]), float(self.e[k]), float(self.i_a[k]),
-                        float(self.i_s[k]), float(self.r[k]), tol=tol)
 
 
 def r0(params: ModelParams, convention: str = "paper") -> float:

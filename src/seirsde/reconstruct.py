@@ -10,7 +10,7 @@ slightly negative; the row sum is exactly one by construction either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class IncidenceSeries:
             raise EmptySeriesError("an incidence series needs records")
         if any(c < 0 for c in self.counts):
             raise NegativeCountError("counts must be nonnegative")
+        if self.population_n < 1:
+            raise ValueError("population_n must be at least 1")
         if self.population_n < max(self.counts):
             raise ValueError("population_n must be at least the largest count")
 
@@ -90,8 +92,8 @@ def _check_obs(obs_is: np.ndarray) -> np.ndarray:
     obs = np.ascontiguousarray(obs_is, dtype=float)
     if obs.ndim != 1 or len(obs) < 2:
         raise LengthMismatchError("need at least two observed values")
-    if np.any(obs < 0.0) or np.any(obs > 1.0):
-        raise ValueError("observations must be fractions in [0, 1]")
+    if not np.all((obs >= 0.0) & (obs <= 1.0)):
+        raise ValueError("observations must be finite fractions in [0, 1]")
     return obs
 
 
@@ -104,19 +106,6 @@ def _row_path(x: np.ndarray, dW: np.ndarray, i: int, dt: float) -> Path:
     """
     return Path(0.0, dt, x[i, :, 0], x[i, :, 1], x[i, :, 2], x[i, :, 3],
                 x[i, :, 4], wiener=dW[i], require_simplex=False)
-
-
-def reconstruct_latent(obs_is: Sequence[float], cfg: ReconstructConfig) -> Path:
-    """Build one latent path conditioned on the observed symptomatic series.
-
-    The engine's replicate 0: the returned path's symptomatic coordinate
-    equals ``obs_is`` bitwise and every row sums to one exactly. Raises
-    PositivityError when an updated latent coordinate leaves [0, 1].
-    """
-    x, dW, failures = reconstruct_replicate_arrays(obs_is, cfg, 1)
-    if failures:
-        raise failures[0]
-    return _row_path(x, dW, 0, cfg.dt)
 
 
 def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
@@ -154,8 +143,11 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
 
 def replicate_reconstructions(obs_is, cfg: ReconstructConfig,
                               n_rep: int) -> list:
-    """n_rep reconstructions with stream-split seeds; raises ReplicateError
-    naming the failing replicate indices when any of them errors."""
+    """n_rep latent paths conditioned on the observed symptomatic series.
+
+    Each path's symptomatic coordinate equals ``obs_is`` bitwise and every
+    row sums to one exactly. Raises ReplicateError naming the replicates
+    whose latent coordinates left [0, 1]."""
     x, dW, failures = reconstruct_replicate_arrays(obs_is, cfg, n_rep)
     if failures:
         raise ReplicateError(failures)

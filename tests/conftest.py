@@ -9,7 +9,7 @@ import pytest
 
 from seirsde import (BASELINE_INIT, BASELINE_PARAMS, DomainError,
                      LengthMismatchError, ModelParams, SingularSystemError,
-                     StateVec, ZeroSigmaError, j_functionals, simulate_path)
+                     StateVec, ZeroSigmaError, estimate_path, simulate_path)
 from seirsde.estimate import SINGULARITY_GUARD
 
 
@@ -55,7 +55,7 @@ def one_step(x, dw, cfg, step_index=0):
     path = simulate_path(dataclasses.replace(cfg, init=x,
                                              n_steps=step_index + 1),
                          increments)
-    return path.state(step_index + 1, tol=float("inf"))
+    return StateVec(*as_matrix(path)[step_index + 1].tolist())
 
 
 def closed_form_betas(path, params, sigma):
@@ -66,7 +66,7 @@ def closed_form_betas(path, params, sigma):
     evaluations agree to rounding, which the tests assert.
     """
     sig = float(sigma)
-    j = j_functionals(path, params.kappa)
+    j = estimate_path(path, params, sig).j
     det = j.j_s * j.j_a - j.j_sa**2
     if det <= SINGULARITY_GUARD * j.j_s * j.j_a:
         raise SingularSystemError("normal equations singular")
@@ -135,9 +135,8 @@ def force_of_infection(i_a: float, i_s: float, params: ModelParams) -> float:
 def deterministic_drift(x: StateVec, params: ModelParams) -> StateVec:
     """Right-hand side of the deterministic system, returned per day.
 
-    The recovered equation keeps the (1 - theta) survival factor and the
-    death integrator d' = theta * alpha_s * I_s, so with theta = 0 the five
-    compartment rates cancel exactly on the simplex.
+    The recovered equation keeps the (1 - theta) survival factor, so with
+    theta = 0 the five compartment rates cancel exactly on the simplex.
     """
     fb = force_of_infection(x.i_a, x.i_s, params)
     ds = params.mu + params.gamma * x.r - (params.mu + fb) * x.s
@@ -146,10 +145,9 @@ def deterministic_drift(x: StateVec, params: ModelParams) -> StateVec:
     dis = (1.0 - params.p) * params.kappa * x.e - (params.alpha_s + params.mu) * x.i_s
     dr = (params.alpha_a * x.i_a + params.alpha_s * (1.0 - params.theta) * x.i_s
           - (params.mu + params.gamma) * x.r)
-    dd = params.theta * params.alpha_s * x.i_s
     out = object.__new__(StateVec)
     for name, val in (("s", ds), ("e", de), ("i_a", dia), ("i_s", dis),
-                      ("r", dr), ("d", dd)):
+                      ("r", dr)):
         object.__setattr__(out, name, val)
     return out
 

@@ -261,6 +261,30 @@ class TestErrorMapping:
                      "--out", str(tmp_path)])
         assert code == EXIT_CODES[ConfigError]
 
+    def test_zero_population_is_a_config_error(self, tmp_path, capsys):
+        series = tmp_path / "cases.csv"
+        series.write_text("date,count\na,0\nb,0\nc,0\n")
+        cfg = write_config(tmp_path, reconstruct={
+            "incidence": str(series), "population_n": 0})
+        code = main(["reconstruct", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ConfigError]
+        assert "population_n must be at least 1" in capsys.readouterr().err
+
+    def test_p_prior_beyond_one_is_a_config_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def run_nothing(*args, **kwargs):
+            raise AssertionError("ran the chain before checking the prior")
+
+        monkeypatch.setattr("seirsde.bayes.metropolis", run_nothing)
+        cfg = write_config(tmp_path, mcmc={
+            "iterations": 2000, "proposal_sd": [0.2, 0.01],
+            "priors": {"p_lo": 0.5, "p_hi": 1.5}})
+        code = main(["mcmc", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ConfigError]
+        assert "p_hi <= 1" in capsys.readouterr().err
+
     def test_negative_known_sigma_on_replicates_is_a_config_error(
             self, tmp_path, capsys, monkeypatch):
         def reconstruct_nothing(*args, **kwargs):

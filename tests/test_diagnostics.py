@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from seirsde import (BASELINE_PARAMS, DegenerateSampleError, DomainError,
                      Path, SimConfig, TooFewPointsError, WindowViolatedError,
                      ZeroSigmaError, consistency_study, hypothesis_window,
-                     inverse_normal_cdf, normality_test, qq_points,
-                     residual_increments, simulate_path)
+                     normality_test, qq_points, residual_increments,
+                     simulate_path)
 from seirsde.diagnostics import consistency_to_csv, qq_to_csv
 from seirsde.simulate import simulate_batch
 
@@ -120,26 +120,19 @@ class TestResidualIncrements:
         assert abs(z) > 3.0
 
 
-class TestInverseNormalCdf:
-    def test_against_bisection_oracle(self):
-        levels = np.concatenate([np.array([1e-6, 1e-4, 0.01, 0.02425]),
-                                 np.linspace(0.05, 0.95, 19),
-                                 np.array([0.99, 0.9999, 1 - 1e-6])])
-        worst = max(abs(inverse_normal_cdf(q) - quantile_by_bisection(q))
-                    for q in levels)
+class TestQqPoints:
+    def test_theoretical_column_against_bisection_oracle(self):
+        # at n = 500,000 the plotting positions run from 1e-6 to 1 - 1e-6;
+        # rows from both tails and the centre are checked
+        n = 500_000
+        pts = qq_points(np.arange(n, dtype=float))
+        rows = np.concatenate([[0, 49, 4_999, 12_124],
+                               np.linspace(25_000, 475_000, 19, dtype=int),
+                               [n - 5_000, n - 50, n - 1]])
+        worst = max(abs(pts[k, 0] - quantile_by_bisection((k + 0.5) / n))
+                    for k in rows.tolist())
         assert worst < 1.2e-9
 
-    def test_median_is_zero(self):
-        assert inverse_normal_cdf(0.5) == 0.0
-
-    def test_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            inverse_normal_cdf(0.0)
-        with pytest.raises(ValueError):
-            inverse_normal_cdf(np.array([0.5, 1.0]))
-
-
-class TestQqPoints:
     def test_three_point_quantiles(self):
         pts = qq_points([-1.0, 0.0, 1.0])
         expected = [quantile_by_bisection(q) for q in (1 / 6, 0.5, 5 / 6)]
@@ -148,6 +141,12 @@ class TestQqPoints:
         assert pts[1, 0] == 0.0
         assert pts[2, 0] == pytest.approx(0.9674, abs=1e-4)
         assert np.array_equal(pts[:, 1], [-1.0, 0.0, 1.0])
+
+    def test_median_is_zero(self):
+        # an odd n puts the middle plotting position at exactly 0.5
+        for n in (3, 5, 101, 10_001):
+            pts = qq_points(np.arange(n, dtype=float))
+            assert pts[n // 2, 0] == 0.0
 
     def test_symmetric_sample_symmetry(self):
         sample = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])

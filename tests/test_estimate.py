@@ -8,9 +8,9 @@ from seirsde import (DegenerateDenominatorError, DomainError,
                      PositivityError, ReconstructConfig, SimConfig,
                      SingularSystemError, estimate_betas, estimate_p,
                      estimate_path, estimate_sigma, girsanov_loglik,
-                     j_functionals, replicate_estimates, simulate_path)
-from seirsde.estimate import (_CHUNK_ELEMENTS, _estimate_replicates,
-                              _kernel)
+                     replicate_estimates, simulate_path)
+from seirsde.estimate import (_CHUNK_ELEMENTS, _columns, _estimate_replicates,
+                              _j_terms, _kernel)
 from seirsde.simulate import simulate_batch
 
 from conftest import (closed_form_betas, ito_log_integral, left_riemann,
@@ -147,31 +147,33 @@ class TestEstimateSigma:
 
 
 class TestJFunctionals:
+    # one interval gives a singular normal-equations system, so the hand
+    # values come from the J kernel itself rather than from estimate_path
     def test_two_point_hand_values(self, params):
-        j = j_functionals(hand_path(TWO_POINT), params.kappa)
-        assert j.j_s == pytest.approx(0.07270755555555555, rel=1e-13)
-        assert j.j_a == pytest.approx(0.163592, rel=1e-13)
-        assert j.j_sa == pytest.approx(0.10906133333333333, rel=1e-13)
-        assert j.j_2 == pytest.approx(0.17354359968472222, rel=1e-13)
+        path = hand_path(TWO_POINT)
+        j_s, j_a, j_sa, j_2 = _j_terms(_columns(path), path.dt, params.kappa)
+        assert j_s == pytest.approx(0.07270755555555555, rel=1e-13)
+        assert j_a == pytest.approx(0.163592, rel=1e-13)
+        assert j_sa == pytest.approx(0.10906133333333333, rel=1e-13)
+        assert j_2 == pytest.approx(0.17354359968472222, rel=1e-13)
 
     def test_equal_branches_collapse(self, params):
         path = hand_path([(0.88, 0.05, 0.02, 0.02, 0.03),
                           (0.86, 0.06, 0.025, 0.025, 0.03)])
-        j = j_functionals(path, params.kappa)
-        assert j.j_s == j.j_a
-        assert j.j_sa == pytest.approx(j.j_s, rel=1e-15)
+        j_s, j_a, j_sa, _ = _j_terms(_columns(path), path.dt, params.kappa)
+        assert j_s == j_a
+        assert j_sa == pytest.approx(j_s, rel=1e-15)
 
     def test_cauchy_schwarz_on_simulated_paths(self, params, interior_init):
         for seed in range(10):
-            j = j_functionals(sim(params, interior_init, seed=seed),
-                              params.kappa)
+            j = estimate_path(sim(params, interior_init, seed=seed), params).j
             assert j.j_sa**2 <= j.j_s * j.j_a * (1 + 1e-12)
 
     def test_domain_error_names_the_row(self, params):
         rows = [list(TWO_POINT[0]), list(TWO_POINT[1])]
         rows[1][3] = 0.0  # zero symptomatic fraction in row 1
         with pytest.raises(DomainError) as err:
-            j_functionals(hand_path(rows), params.kappa)
+            estimate_path(hand_path(rows), params)
         assert err.value.index == 1
 
 
@@ -294,13 +296,13 @@ class TestGirsanov:
                                                       interior_init):
         # a reconstructed path has its own increments; recovering them from
         # the susceptible equation gives the same likelihood values
-        from seirsde import ReconstructConfig, reconstruct_latent, \
+        from seirsde import ReconstructConfig, replicate_reconstructions, \
             residual_increments
         obs = sim(params, interior_init, n_steps=100, seed=6).i_s
         cfg = ReconstructConfig(params=params, init_e=interior_init.e,
                                 init_ia=interior_init.i_a,
                                 init_r=interior_init.r, dt=1e-3, seed=9)
-        path = reconstruct_latent(obs, cfg)
+        [path] = replicate_reconstructions(obs, cfg, 1)
         th0 = (params.beta_s, params.beta_a, params.p)
         th = (params.beta_s + 0.02, params.beta_a, params.p + 0.01)
         direct = girsanov_loglik(path, th, th0, params.kappa, 0.01)
@@ -359,7 +361,7 @@ class TestBatchScalarAgreement:
             path = Path(0.0, dt, *x[i].T, require_simplex=False)
             sig = estimate_sigma(path)
             betas = estimate_betas(path, params)
-            j = j_functionals(path, params.kappa)
+            j = estimate_path(path, params).j
             for batch_value, scalar in (
                     (est.sigma[k], sig.sigma),
                     (est.beta_s[k], betas.beta_s),

@@ -13,7 +13,7 @@ from conftest import (deterministic_drift, lamperti_drift, one_step,
 
 def random_simplex_state(rng):
     w = rng.dirichlet(np.ones(5))
-    return StateVec(*w, tol=1e-9)
+    return StateVec(*w)
 
 class TestModelParams:
     def test_rejects_nonpositive_rates(self):
@@ -44,7 +44,6 @@ class TestModelParams:
     lambda v: Path(0.0, v, [1.0], [0.0], [0.0], [0.0], [0.0]),
     lambda v: Path(0.0, 0.1, [1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
                    [0.0, 0.0], wiener=[v]),
-    lambda v: Path(0.0, 0.1, [1.0], [0.0], [0.0], [0.0], [0.0], d=[v]),
     lambda v: ReconstructConfig(params=BASELINE_PARAMS, init_e=0.04,
                                 init_ia=0.027, init_r=0.053, dt=v),
     lambda v: McmcConfig(iterations=10, burn_in=0, proposal_sd=(v, 0.01)),
@@ -58,7 +57,7 @@ class TestModelParams:
     lambda v: consistency_study(BASELINE_PARAMS, _INIT, [0.02], n_rep=2,
                                 dt=v, seed=0),
 ], ids=["params-mu", "params-beta_s", "params-sigma", "state-s",
-        "simconfig-dt", "path-dt", "path-wiener", "path-d",
+        "simconfig-dt", "path-dt", "path-wiener",
         "reconstructconfig-dt", "mcmcconfig-proposal_sd", "priorspec-p_lo",
         "priorspec-kappa_shape", "estimate_path-sigma",
         "consistency_study-horizon", "consistency_study-dt"])
@@ -106,7 +105,7 @@ class TestStateVec:
 class TestDeterministicDrift:
     def test_disease_free_equilibrium(self, params):
         d = deterministic_drift(StateVec(1.0, 0.0, 0.0, 0.0, 0.0), params)
-        assert (d.s, d.e, d.i_a, d.i_s, d.r, d.d) == (0.0,) * 6
+        assert (d.s, d.e, d.i_a, d.i_s, d.r) == (0.0,) * 5
 
     def test_simplex_cancellation_with_theta_zero(self, params, baseline_init):
         d = deterministic_drift(baseline_init, params.replaced(theta=0.0))
@@ -122,7 +121,6 @@ class TestDeterministicDrift:
             "i_a": 0.0023893696906350293,
             "i_s": 0.002212746751635029,
             "r": 0.004968914170293542,
-            "d": 0.00020351518,
         }
         for name, want in expected.items():
             assert getattr(d, name) == pytest.approx(want, rel=1e-13)
@@ -202,7 +200,7 @@ class TestLampertiDrift:
                 # coordinate is the boundary one; force s = 1 instead
                 vals = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
             with pytest.raises(DomainError):
-                lamperti_drift(StateVec(*vals, tol=1e-9), params)
+                lamperti_drift(StateVec(*vals), params)
 
     def test_interior_is_finite(self, params):
         rng = np.random.default_rng(2)

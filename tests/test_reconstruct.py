@@ -3,8 +3,8 @@ import pytest
 
 from seirsde import (EmptySeriesError, IncidenceSeries, LengthMismatchError,
                      NegativeCountError, ReconstructConfig, ReplicateError,
-                     SimConfig, normalize, reconstruct_latent,
-                     replicate_reconstructions, simulate_path)
+                     SimConfig, normalize, replicate_reconstructions,
+                     simulate_path)
 from seirsde.model import INITIAL_POOL_PRIOR
 from seirsde.reconstruct import reconstruct_replicate_arrays
 
@@ -39,6 +39,13 @@ class TestIncidenceSeries:
         with pytest.raises(EmptySeriesError):
             IncidenceSeries((), (), 100)
 
+    @pytest.mark.parametrize("population_n", [0, -5])
+    def test_rejects_population_below_one(self, population_n):
+        # all-zero counts: the largest-count bound alone lets these through
+        # and normalize would divide by a population of zero
+        with pytest.raises(ValueError, match="at least 1"):
+            IncidenceSeries(("a", "b", "c"), (0, 0, 0), population_n)
+
 
 class TestNormalize:
     def test_zero_counts(self):
@@ -60,7 +67,15 @@ class TestNormalize:
 class TestReconstructLatent:
     def test_short_series_rejected(self, params, interior_init):
         with pytest.raises(LengthMismatchError):
-            reconstruct_latent([0.01], rec_cfg(params, interior_init))
+            replicate_reconstructions([0.01], rec_cfg(params, interior_init),
+                                      1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_observations_rejected(self, params, interior_init,
+                                              bad):
+        with pytest.raises(ValueError, match="finite fractions"):
+            replicate_reconstructions([0.02, bad, 0.02],
+                                      rec_cfg(params, interior_init), 1)
 
     def test_zero_dynamics_stays_frozen(self, params):
         # no transmission, no noise, empty latent pools: S has nothing to
@@ -68,7 +83,7 @@ class TestReconstructLatent:
         cfg = ReconstructConfig(
             params=params.replaced(beta_s=0.0, beta_a=0.0, sigma=0.0),
             init_e=0.0, init_ia=0.0, init_r=0.0, dt=1e-3, seed=0)
-        path = reconstruct_latent(np.zeros(5), cfg)
+        [path] = replicate_reconstructions(np.zeros(5), cfg, 1)
         assert np.array_equal(path.s, np.ones(5))
         assert np.array_equal(path.e, np.zeros(5))
         assert np.array_equal(path.i_a, np.zeros(5))
@@ -76,26 +91,28 @@ class TestReconstructLatent:
 
     def test_observations_pinned_bitwise(self, params, interior_init,
                                          synthetic_obs):
-        path = reconstruct_latent(synthetic_obs, rec_cfg(params, interior_init))
+        [path] = replicate_reconstructions(
+            synthetic_obs, rec_cfg(params, interior_init), 1)
         assert np.array_equal(path.i_s, synthetic_obs)
 
     def test_rows_sum_to_one(self, params, interior_init, synthetic_obs):
-        path = reconstruct_latent(synthetic_obs, rec_cfg(params, interior_init))
+        [path] = replicate_reconstructions(
+            synthetic_obs, rec_cfg(params, interior_init), 1)
         assert np.abs(as_matrix(path).sum(axis=1) - 1.0).max() <= 1e-15
 
     def test_zero_sigma_is_seed_independent(self, params, interior_init,
                                             synthetic_obs):
         quiet = params.replaced(sigma=0.0)
-        a = reconstruct_latent(synthetic_obs, rec_cfg(quiet, interior_init,
-                                                      seed=1))
-        b = reconstruct_latent(synthetic_obs, rec_cfg(quiet, interior_init,
-                                                      seed=2))
+        [a] = replicate_reconstructions(
+            synthetic_obs, rec_cfg(quiet, interior_init, seed=1), 1)
+        [b] = replicate_reconstructions(
+            synthetic_obs, rec_cfg(quiet, interior_init, seed=2), 1)
         assert np.array_equal(as_matrix(a), as_matrix(b))
 
     def test_recurrence_replay_oracle(self, params, interior_init,
                                       synthetic_obs):
         cfg = rec_cfg(params, interior_init)
-        path = reconstruct_latent(synthetic_obs, cfg)
+        [path] = replicate_reconstructions(synthetic_obs, cfg, 1)
         # independent replay of the update recurrence, plain floats
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
         dw = rng.standard_normal(len(synthetic_obs) - 1) * np.sqrt(cfg.dt)
@@ -126,7 +143,7 @@ class TestReconstructLatent:
         cfg = rec_cfg(params, interior_init, seed=3)
         sim = simulate_path(SimConfig(params=params, init=interior_init,
                                       dt=1e-3, n_steps=46, seed=3))
-        rec = reconstruct_latent(synthetic_obs, cfg)
+        [rec] = replicate_reconstructions(synthetic_obs, cfg, 1)
         assert np.allclose(rec.e, sim.e, rtol=1e-12)
         assert np.allclose(rec.s, sim.s, rtol=1e-12)
         assert np.allclose(rec.i_a, sim.i_a, rtol=1e-12)
@@ -139,8 +156,9 @@ class TestReplicates:
                                                synthetic_obs, resample):
         cfg = rec_cfg(params, interior_init, resample_initials=resample,
                       population_n=26_446_435)
+        # replicate 0 runs on the base stream whatever the batch size
         single = replicate_reconstructions(synthetic_obs, cfg, 1)
-        base = reconstruct_latent(synthetic_obs, cfg)
+        base = replicate_reconstructions(synthetic_obs, cfg, 3)[0]
         assert len(single) == 1
         assert np.array_equal(as_matrix(single[0]), as_matrix(base))
         assert np.array_equal(single[0].wiener, base.wiener)

@@ -57,7 +57,7 @@ class TestStepEm:
         rng = np.random.default_rng(4)
         for _ in range(100):
             w = rng.dirichlet(np.ones(5))
-            x = StateVec(*w, tol=1e-9)
+            x = StateVec(*w)
             dw = float(rng.normal(0, 0.05))
             cfg = cfg_for(params, x)
             out = one_step(x, dw, cfg)
