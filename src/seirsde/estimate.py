@@ -22,6 +22,7 @@ from .errors import (DegenerateDenominatorError, DomainError,
 from .model import HypothesisWindow, ModelParams, Path, hypothesis_window
 from .reconstruct import (ReconstructConfig, _row_path,
                           reconstruct_replicate_arrays)
+from .simulate import _ELEMENT_BUDGET as _CHUNK_ELEMENTS
 
 DENOMINATOR_GUARD = 1e-30
 SINGULARITY_GUARD = 1e-12
@@ -373,14 +374,6 @@ class EstimateReport:
                        "t_end": self.window.t_end,
                        "satisfied": self.window.satisfied},
         }
-
-
-# Rows go through the kernel about this many grid values per compartment at
-# a time. A whole (n_rep, n, 5) block at once needs dozens of temporaries of
-# its own size (86 MB at 100 x 12,001); in chunks they take a few MB and the
-# estimates come 2-4x faster. Rows of a few points make chunks of hundreds
-# of rows, which keeps numpy's per-call overhead small.
-_CHUNK_ELEMENTS = 1 << 15
 
 
 def _estimate_replicates(x: np.ndarray, dt: float, params: ModelParams,

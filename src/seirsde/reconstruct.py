@@ -4,11 +4,13 @@ The symptomatic coordinate is pinned to the observations at every grid
 point; S, E and I_a advance by the Euler-Maruyama discretisation of the
 stochastic system driven by one fresh Wiener increment per step, and R
 closes each row through the simplex identity. With erratic data R may dip
-slightly negative; the row sum is exactly one by construction either way.
+slightly negative; either way R = 1 - S - E - I_a - I_s, so the row sums
+to one up to rounding (a few 1e-16).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +56,8 @@ class ReconstructConfig:
     ``resample_initials`` draws E(0) and I_a(0) from the uniform
     person-count prior divided by ``population_n`` instead of using the
     fixed values; each replicate then draws its own initials before its
-    Wiener stream.
+    Wiener stream. ``population_n``, when given, is an integer of at
+    least 1.
     """
 
     params: ModelParams
@@ -72,8 +75,14 @@ class ReconstructConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.resample_initials and not self.population_n:
-            raise ValueError("resample_initials requires population_n")
+        n = self.population_n
+        if n is None:
+            if self.resample_initials:
+                raise ValueError("resample_initials requires population_n")
+        elif isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError("population_n must be an integer")
+        elif n < 1:
+            raise ValueError("population_n must be at least 1")
 
 
 def normalize(series: IncidenceSeries) -> np.ndarray:
@@ -86,6 +95,17 @@ def _draw_initials(cfg: ReconstructConfig, rng) -> tuple:
     e0 = rng.uniform(lo, hi) / cfg.population_n
     ia0 = rng.uniform(lo, hi) / cfg.population_n
     return e0, ia0
+
+
+def _check_pools_fit(cfg: ReconstructConfig, obs0: float) -> None:
+    """Reject a population too small for the largest pools the prior draws
+    to fit beside ``init_r`` and the first observation."""
+    largest = 2.0 * INITIAL_POOL_PRIOR[1] / cfg.population_n
+    if largest + cfg.init_r + obs0 > 1.0:
+        raise ValueError(
+            f"population_n = {cfg.population_n} is too small for resampled "
+            f"initials: E(0) + I_a(0) may reach {largest:.6g}, which with "
+            f"init_r and the first observation does not fit under 1")
 
 
 def _check_obs(obs_is: np.ndarray) -> np.ndarray:
@@ -114,14 +134,20 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
     Returns ``(states, increments, failures)`` with states of shape
     (n_rep, len(obs), 5) and increments (n_rep, len(obs) - 1). Replicate i
     draws its initials (when resampled) and then its increments from the
-    stream ``replicate_seed(cfg.seed, i)``; failures map replicate index to
-    the PositivityError met first, and those rows are frozen at the
-    failing step. Storage is time-major, so both arrays are transposed
-    views of it.
+    stream ``replicate_seed(cfg.seed, i)``. Positivity of S, E and I_a is
+    checked once per time block of ``simulate._run_batch``; failures map
+    replicate index to the PositivityError of the first step that left
+    [0, 1], and that row is frozen from its failing step on, its I_s equal
+    to the observations up to that step. With ``resample_initials``, a
+    ``population_n`` too small for the prior's largest pools to fit beside
+    ``init_r`` and the first observation is a ValueError. Storage is
+    time-major, so both arrays are transposed views of it.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
     obs = _check_obs(obs_is)
+    if cfg.resample_initials:
+        _check_pools_fit(cfg, obs[0])
     rngs = [np.random.default_rng(replicate_seed(cfg.seed, i))
             for i in range(n_rep)]
     e0 = np.full(n_rep, cfg.init_e)
@@ -132,11 +158,19 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
     init = np.broadcast_arrays(1.0 - e0 - ia0 - cfg.init_r - obs[0], e0,
                                ia0, obs[0], cfg.init_r)
     dt, pr = cfg.dt, cfg.params
+    is_ = obs.tolist()
 
     def step(k, prev, w, nxt):
-        nxt[0], nxt[1], nxt[2] = _step_s_e_ia(*prev, w, dt, pr)
-        nxt[3] = obs[k + 1]
-        nxt[4] = 1.0 - nxt[0] - nxt[1] - nxt[2] - nxt[3]
+        # a live row holds is_[k] in prev[3]; a frozen one is reset after
+        # its block whatever it steps to
+        s, e, ia, _, r = prev
+        nxt[0], nxt[1], nxt[2] = _step_s_e_ia(s, e, ia, is_[k], r, w, dt, pr)
+        nxt[3] = is_[k + 1]
+        r1 = nxt[4]
+        np.subtract(1.0, nxt[0], out=r1)
+        r1 -= nxt[1]
+        r1 -= nxt[2]
+        r1 -= is_[k + 1]
 
     return _run_batch(init, rngs, len(obs) - 1, dt, step, 3)
 
@@ -146,8 +180,8 @@ def replicate_reconstructions(obs_is, cfg: ReconstructConfig,
     """n_rep latent paths conditioned on the observed symptomatic series.
 
     Each path's symptomatic coordinate equals ``obs_is`` bitwise and every
-    row sums to one exactly. Raises ReplicateError naming the replicates
-    whose latent coordinates left [0, 1]."""
+    row sums to one up to rounding. Raises ReplicateError naming the
+    replicates whose latent coordinates left [0, 1]."""
     x, dW, failures = reconstruct_replicate_arrays(obs_is, cfg, n_rep)
     if failures:
         raise ReplicateError(failures)

@@ -26,6 +26,16 @@ SCHEME_MILSTEIN = "milstein"
 
 _COMPONENTS = ("s", "e", "i_a", "i_s", "r")
 
+# Grid values per compartment that batch work takes at a time. The batch
+# engine steps every replicate through a block of about this many values
+# before it scans them, so the positivity check costs a few numpy calls per
+# block, not per step. The estimator kernel takes rows in chunks of this
+# size: a whole (n_rep, n, 5) set at once needs dozens of temporaries of its
+# own size (86 MB at 100 x 12,001); in chunks they take a few MB and the
+# estimates come 2-4x faster, and rows of a few points still make chunks of
+# hundreds of rows, which keeps numpy's per-call overhead small.
+_ELEMENT_BUDGET = 1 << 15
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -70,11 +80,11 @@ def draw_increments(seed, n_steps: int, dt: float) -> np.ndarray:
 
 def _step_s_e_ia(s, e, ia, is_, r, dw, dt, params):
     """S, E and I_a after one Euler-Maruyama step; floats or arrays."""
-    fb = params.beta_s * is_ + params.beta_a * ia
+    fbs = (params.beta_s * is_ + params.beta_a * ia) * s
     sig = params.sigma
-    s1 = s + (params.mu - params.mu * s - fb * s + params.gamma * r) * dt \
+    s1 = s + (params.mu - params.mu * s - fbs + params.gamma * r) * dt \
         + sig * (1.0 - s) * dw
-    e1 = e + (fb * s - (params.kappa + params.mu) * e) * dt - sig * e * dw
+    e1 = e + (fbs - (params.kappa + params.mu) * e) * dt - sig * e * dw
     ia1 = ia + (params.p * params.kappa * e
                 - (params.alpha_a + params.mu) * ia) * dt - sig * ia * dw
     return s1, e1, ia1
@@ -138,9 +148,11 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
     identical to ``simulate_path`` with the same seed, and the arguments
     are checked as ``SimConfig`` checks them. Returns ``(states,
     increments, failures)`` where states has shape (n_rep, n_steps + 1, 5)
-    and increments (n_rep, n_steps); failures maps replicate index to the
-    PositivityError met first (those rows are frozen at the failing step).
-    Storage is time-major, so both arrays are transposed views of it.
+    and increments (n_rep, n_steps). Positivity is checked once per time
+    block of ``_run_batch``, not per step; failures maps replicate index to
+    the PositivityError of the first step that left [0, 1], the same one
+    ``simulate_path`` raises, and that row is frozen from its failing step
+    on. Storage is time-major, so both arrays are transposed views of it.
     """
     SimConfig(params, init, dt, n_steps, scheme)
     milstein = scheme == SCHEME_MILSTEIN
@@ -160,34 +172,53 @@ def _run_batch(init, rngs, n_steps, dt, step, n_check):
     Replicate i starts from column i of ``init`` and draws its increments
     from ``rngs[i]`` as ``draw_increments`` would. State is time-major,
     (5, n_steps + 1, n_rep): step k calls ``step(k, prev, w, nxt)``, which
-    writes the next state into the replicate rows ``nxt`` in place. A
-    replicate whose first ``n_check`` coordinates left [0, 1] is frozen
-    there, and the PositivityError of its first offending component goes
-    into failures. Returns ``(states, increments, failures)``, the arrays
-    as replicate-major views.
+    writes the next state into the replicate rows ``nxt`` in place. Steps
+    run in blocks of ``_ELEMENT_BUDGET // n_rep`` (at least one) with no
+    check inside; each block is then scanned once. A replicate whose first
+    ``n_check`` coordinates left [0, 1] (NaN included) at step k is frozen
+    at its state before that step for the rest of the run, and the
+    PositivityError of its first offending component at step k goes into
+    failures. A frozen row still steps, unchecked, to the end of each block
+    and is set back after it; replicates never mix, so a live row does the
+    same float operations as it would alone. Returns ``(states,
+    increments, failures)``, the arrays as replicate-major views.
     """
-    dw = np.empty((n_steps, len(rngs)))
+    n_rep = len(rngs)
+    dw = np.empty((n_steps, n_rep))
     for i, rng in enumerate(rngs):
         dw[:, i] = rng.standard_normal(n_steps)
     dw *= np.sqrt(dt)
-    x = np.empty((5, n_steps + 1, len(rngs)))
+    x = np.empty((5, n_steps + 1, n_rep))
     x[:, 0] = init
-    alive = np.ones(len(rngs), dtype=bool)
+    dead = np.zeros(n_rep, dtype=bool)
     failures = {}
-    for k, w in enumerate(dw):
-        prev, nxt = x[:, k], x[:, k + 1]
-        step(k, prev, w, nxt)
-        head = nxt[:n_check]
-        bad = alive & ~np.all((head >= 0.0) & (head <= 1.0), axis=0)
-        for i in np.flatnonzero(bad):
-            col = head[:, i]
-            comp = int(np.argmax((col < 0.0) | (col > 1.0)))
-            failures[int(i)] = PositivityError(k, _COMPONENTS[comp],
-                                               float(col[comp]))
-        if failures:  # some replicate failed: freeze the rejected ones
-            alive &= ~bad
-            nxt[:, ~alive] = prev[:, ~alive]
+    block = max(1, _ELEMENT_BUDGET // n_rep)
+    # frozen rows may overflow or turn NaN inside a block; live rows cannot
+    with np.errstate(all="ignore"):
+        for lo in range(0, n_steps, block):
+            hi = min(lo + block, n_steps)
+            for k in range(lo, hi):
+                step(k, x[:, k], dw[k], x[:, k + 1])
+            _scan_block(x, lo, hi, n_check, dead, failures)
     return x.transpose(2, 1, 0), dw.T, failures
+
+
+def _scan_block(x, lo, hi, n_check, dead, failures):
+    """Scan the states that steps lo..hi-1 wrote, record the first failure
+    of each live row in ``failures`` and mark it in ``dead``, and hold every
+    dead row at its frozen state through step hi."""
+    head = x[:n_check, lo + 1:hi + 1]  # (n_check, hi - lo, n_rep)
+    ok = (head >= 0.0) & (head <= 1.0)
+    old = np.flatnonzero(dead)
+    if old.size:
+        x[:, lo + 1:hi + 1, old] = x[:, lo:lo + 1, old]
+    for i in np.flatnonzero(~dead & ~ok.all(axis=(0, 1))):
+        k = lo + int(np.argmin(ok[:, :, i].all(axis=0)))
+        comp = int(np.argmin(ok[:, k - lo, i]))
+        failures[int(i)] = PositivityError(k, _COMPONENTS[comp],
+                                           float(x[comp, k + 1, i]))
+        x[:, k + 1:hi + 1, i] = x[:, k:k + 1, i]
+        dead[i] = True
 
 
 # ---------------------------------------------------------------------------

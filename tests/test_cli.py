@@ -271,6 +271,19 @@ class TestErrorMapping:
         assert code == EXIT_CODES[ConfigError]
         assert "population_n must be at least 1" in capsys.readouterr().err
 
+    def test_population_too_small_for_resampled_pools_is_a_config_error(
+            self, tmp_path, capsys):
+        # E(0) and I_a(0) up to 2100 persons each cannot fit in 1,000
+        series = tmp_path / "cases.csv"
+        series.write_text("date,count\na,1\nb,2\nc,3\n")
+        cfg = write_config(tmp_path, reconstruct={
+            "incidence": str(series), "population_n": 1000,
+            "resample_initials": True})
+        code = main(["reconstruct", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ConfigError]
+        assert "population_n = 1000 is too small" in capsys.readouterr().err
+
     def test_p_prior_beyond_one_is_a_config_error(self, tmp_path, capsys,
                                                    monkeypatch):
         def run_nothing(*args, **kwargs):

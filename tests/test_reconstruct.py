@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from seirsde import (EmptySeriesError, IncidenceSeries, LengthMismatchError,
                      simulate_path)
 from seirsde.model import INITIAL_POOL_PRIOR
 from seirsde.reconstruct import reconstruct_replicate_arrays
+from seirsde.simulate import _ELEMENT_BUDGET, _step_s_e_ia
 
 from conftest import as_matrix
 
@@ -45,6 +48,35 @@ class TestIncidenceSeries:
         # and normalize would divide by a population of zero
         with pytest.raises(ValueError, match="at least 1"):
             IncidenceSeries(("a", "b", "c"), (0, 0, 0), population_n)
+
+
+class TestReconstructConfig:
+    @pytest.mark.parametrize("population_n", [0, -5, 2.5, True])
+    def test_population_must_be_a_positive_integer(self, params,
+                                                   interior_init,
+                                                   population_n):
+        with pytest.raises(ValueError, match="population_n"):
+            rec_cfg(params, interior_init, resample_initials=True,
+                    population_n=population_n)
+
+    def test_resampling_requires_a_population(self, params, interior_init):
+        with pytest.raises(ValueError, match="population_n"):
+            rec_cfg(params, interior_init, resample_initials=True)
+
+    def test_resampled_pools_must_fit_under_one(self, params, interior_init):
+        # counts 1, 2, 3: the prior's largest pools, 2 * 2100 / N, with
+        # init_r and the first observation fit from N = 4437 on
+        assert interior_init.r == 0.053
+        cfg = rec_cfg(params, interior_init, resample_initials=True,
+                      population_n=4436)
+        with pytest.raises(ValueError, match="population_n = 4436"):
+            reconstruct_replicate_arrays(np.array([1.0, 2.0, 3.0]) / 4436,
+                                         cfg, 2)
+        cfg = rec_cfg(params, interior_init, resample_initials=True,
+                      population_n=4437)
+        x, _, _ = reconstruct_replicate_arrays(
+            np.array([1.0, 2.0, 3.0]) / 4437, cfg, 200)
+        assert np.all(x[:, 0] >= 0.0)
 
 
 class TestNormalize:
@@ -216,6 +248,48 @@ class TestReplicates:
             assert np.all(x[i, exc.step + 1:] == x[i, exc.step])
             assert np.array_equal(x[i, :exc.step + 1, 3],
                                   synthetic_obs[:exc.step + 1])
+
+    def test_failures_across_time_blocks(self, params, interior_init,
+                                         synthetic_obs):
+        # enough rows for blocks of 16 steps over the 46 observed steps, so
+        # that rows fail in a block after the first and stay frozen after
+        block = 16
+        n_rep = _ELEMENT_BUDGET // block
+        wild = params.replaced(sigma=30.0)
+        cfg = rec_cfg(wild, interior_init)
+        x, dw, failures = reconstruct_replicate_arrays(synthetic_obs, cfg,
+                                                       n_rep)
+        assert any(exc.step >= block for exc in failures.values())
+        for i in range(n_rep):
+            if i not in failures:
+                assert np.array_equal(x[i, :, 3], synthetic_obs)
+                continue
+            k, exc = failures[i].step, failures[i]
+            # step k is the first whose S, E or I_a left [0, 1], and the
+            # error names the first of them with its value
+            before = x[i, :k + 1, :3]
+            assert np.all((before >= 0.0) & (before <= 1.0))
+            after = _step_s_e_ia(*x[i, k], dw[i, k], cfg.dt, wild)
+            comp = next(c for c, v in enumerate(after) if not 0.0 <= v <= 1.0)
+            assert (exc.component, exc.value) == (("s", "e", "i_a")[comp],
+                                                  after[comp])
+            assert np.all(x[i, k + 1:] == x[i, k])
+            assert np.array_equal(x[i, :k + 1, 3], synthetic_obs[:k + 1])
+
+    def test_diverging_frozen_rows_leak_no_warning(self, params,
+                                                   interior_init):
+        # at dt = 0.01 a failed row stepped on through its block overflows
+        obs = simulate_path(SimConfig(params=params, init=interior_init,
+                                      dt=0.01, n_steps=500, seed=3)).i_s
+        cfg = rec_cfg(params.replaced(sigma=30.0), interior_init, dt=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _, failures = reconstruct_replicate_arrays(obs, cfg, 8)
+        assert sorted(failures) == list(range(8))
+        for i, exc in failures.items():
+            assert exc.component in ("s", "e", "i_a")
+            assert np.all(x[i, exc.step + 1:] == x[i, exc.step])
+        assert np.all(np.isfinite(x))
 
     @pytest.mark.parametrize("n_rep", [1, 4])
     def test_returned_shapes(self, params, interior_init, synthetic_obs,

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from seirsde import (BASELINE_PARAMS, ParseError, Path, PositivityError,
                      SimConfig, StateVec, draw_increments, hypothesis_window,
                      path_from_csv, path_to_csv, simulate_path)
 from seirsde.model import PATH_SIMPLEX_TOL
-from seirsde.simulate import SCHEME_EULER, SCHEME_MILSTEIN, simulate_batch
+from seirsde.simulate import (_ELEMENT_BUDGET, SCHEME_EULER, SCHEME_MILSTEIN,
+                              simulate_batch)
 
 from conftest import (INTERIOR_INIT, as_matrix, one_step, reference_path_csv,
                       sde_drift)
@@ -201,6 +203,50 @@ class TestBatchEngine:
                                          seed=seeds[i]))
             assert np.array_equal(x[i], as_matrix(path))
             assert np.array_equal(dw[i], path.wiener)
+
+    def test_failures_across_time_blocks(self, params, interior_init):
+        # enough rows for blocks of 16 steps, so that rows fail in several
+        # blocks after the first and stay frozen through the blocks after
+        block, n_steps = 16, 100
+        n_rep = _ELEMENT_BUDGET // block
+        wild = params.replaced(sigma=8.0)
+        x, dw, failures = simulate_batch(wild, interior_init, 1e-3, n_steps,
+                                         range(n_rep))
+        n_blocks = math.ceil(n_steps / block)
+        blocks = {exc.step // block for exc in failures.values()}
+        assert len(blocks - {0}) >= 2
+        assert any(0 < b < n_blocks - 1 for b in blocks)
+        for i in range(n_rep):
+            cfg = cfg_for(wild, interior_init, n_steps=n_steps, seed=i)
+            if i not in failures:
+                path = simulate_path(cfg)
+                assert np.array_equal(x[i], as_matrix(path))
+                assert np.array_equal(dw[i], path.wiener)
+                continue
+            exc = failures[i]
+            with pytest.raises(PositivityError) as scalar:
+                simulate_path(cfg)
+            assert (exc.step, exc.component, exc.value) == (
+                scalar.value.step, scalar.value.component,
+                scalar.value.value)
+            head = simulate_path(dataclasses.replace(cfg, n_steps=exc.step),
+                                 dw[i, :exc.step])
+            assert np.array_equal(x[i, :exc.step + 1], as_matrix(head))
+            assert np.all(x[i, exc.step + 1:] == x[i, exc.step])
+
+    def test_diverging_frozen_rows_leak_no_warning(self, params,
+                                                   interior_init):
+        # at dt = 0.05 a failed row stepped on through its block overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _, failures = simulate_batch(params.replaced(sigma=8.0),
+                                            interior_init, 0.05, 500,
+                                            range(8))
+        assert failures
+        for i, exc in failures.items():
+            assert isinstance(exc, PositivityError)
+            assert np.all(x[i, exc.step + 1:] == x[i, exc.step])
+        assert np.all(np.isfinite(x))
 
     @settings(deadline=None)
     @given(sigma=st.floats(0.0, 30.0), seed=st.integers(0, 2**32 - 1),
