@@ -22,7 +22,7 @@ from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
 from .estimate import _check_known_sigma, _estimate_replicates
 from .model import (ModelParams, Path, StateVec, _require_positive_step,
                     _window_ends)
-from .simulate import _write_rows, simulate_batch
+from .simulate import _step_s_e_ia, _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
 _CHI2_2_CRITICAL = {0.01: 9.21034037197618, 0.05: 5.991464547107979}
@@ -66,8 +66,8 @@ def residual_increments(path: Path, params: ModelParams,
                         method: str = "em") -> ResidualSeries:
     """Recover the driving increments from the susceptible coordinate.
 
-    ``method="em"`` solves the Euler update for the increment; on a path the
-    simulator produced with the same parameters this is exact to rounding.
+    ``method="em"`` solves the simulator's own S update for the increment;
+    on a path it produced with the same parameters this is exact to rounding.
     ``method="log"`` evaluates the log-difference form with the drift
     taken at the left grid point.
     """
@@ -81,14 +81,14 @@ def residual_increments(path: Path, params: ModelParams,
     if np.any(one_minus_s <= 0.0):
         idx = int(np.argmax(one_minus_s <= 0.0))
         raise DomainError("S reaches 1", index=idx)
-    fb = params.beta_s * is_ + params.beta_a * ia
     sig = params.sigma
     dt = path.dt
     if method == "em":
-        drift = (params.mu * one_minus_s[:-1] - fb[:-1] * s[:-1]
-                 + params.gamma * r[:-1])
-        raw = (np.diff(s) - drift * dt) / (sig * one_minus_s[:-1])
+        s_hat, _, _ = _step_s_e_ia(s[:-1], path.e[:-1], ia[:-1], is_[:-1],
+                                   r[:-1], 0.0, dt, params)
+        raw = (s[1:] - s_hat) / (sig * one_minus_s[:-1])
     elif method == "log":
+        fb = params.beta_s * is_ + params.beta_a * ia
         raw = (-np.diff(np.log(one_minus_s)) / sig
                - (params.mu / sig + 0.5 * sig) * dt
                + (dt / sig) * (s[:-1] * fb[:-1] / one_minus_s[:-1]

@@ -28,7 +28,7 @@ class DomainError(SeirSdeError):
 
 
 class PositivityError(SeirSdeError):
-    """A simulated coordinate left [0, 1]; its path stops at that step."""
+    """A simulated coordinate left [0, 1]; names the first step that did."""
 
     def __init__(self, step, component, value):
         super().__init__(

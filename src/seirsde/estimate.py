@@ -292,11 +292,16 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
                     increments=None) -> float:
     """Log likelihood ratio of theta against theta0 along the path.
 
-    theta and theta0 are (beta_s, beta_a, p) triples. The stochastic
-    integral uses the path's own Wiener increments unless ``increments``
-    supplies recovered ones (e.g. from the residual diagnostics); the
-    recovered-compartment row of the drift difference is identically zero,
-    so only four rows contribute.
+    theta and theta0 are (beta_s, beta_a, p) triples. The ratio is the
+    quadratic form d.b / sigma - d'M d / (2 sigma^2) in d = theta - theta0:
+    M is the normal-equations matrix, J_s, J_sa and J_a in the beta block
+    and J_2 for p, and b holds the left-point Ito sums of the drift
+    derivatives against the increments. The closed-form (beta_s, beta_a,
+    p) maximises it up to discretisation. The stochastic integral uses the
+    path's own Wiener increments unless ``increments`` supplies recovered
+    ones (e.g. from the residual diagnostics); the recovered-compartment
+    row of the drift difference is identically zero, so only four rows
+    contribute.
     """
     if increments is None:
         increments = path.wiener
@@ -310,19 +315,16 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
         raise ValueError("sigma must be positive")
     beta_s, beta_a, p = (float(t) for t in theta)
     beta_s0, beta_a0, p0 = (float(t) for t in theta0)
+    d = np.array([beta_s - beta_s0, beta_a - beta_a0, p - p0])
     cols = _columns(path)
     _raise_first(_failures(cols))
     s, e, ia, is_, _ = cols
-    one_minus_s = 1.0 - s
-    dfb = (beta_s - beta_s0) * is_ + (beta_a - beta_a0) * ia
-    dp = p - p0
-    g1 = -dfb * s / (sigma * one_minus_s)
-    g2 = -dfb * s / (sigma * e)
-    g3 = -dp * kappa * e / (sigma * ia)
-    g4 = dp * kappa * e / (sigma * is_)
-    stochastic = float(np.sum((g1 + g2 + g3 + g4)[:-1] * dw))
-    quad = float(np.sum((g1**2 + g2**2 + g3**2 + g4**2)[:-1]) * path.dt)
-    return stochastic - 0.5 * quad
+    j_s, j_a, j_sa, j_2 = _j_terms(cols, path.dt, kappa)
+    m = np.array([[j_s, j_sa, 0.0], [j_sa, j_a, 0.0], [0.0, 0.0, j_2]])
+    w = (s / (1.0 - s) + s / e)[:-1] * dw
+    b = np.array([-is_[:-1] @ w, -ia[:-1] @ w,
+                  kappa * ((e / is_ - e / ia)[:-1] @ dw)])
+    return float(d @ b / sigma - 0.5 * (d @ m @ d) / (sigma * sigma))
 
 
 def estimate_path(path: Path, params: ModelParams,

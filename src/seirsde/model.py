@@ -33,11 +33,13 @@ def _require_positive_step(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _require_count(name: str, value) -> None:
-    """A nonnegative Python or numpy integer; booleans are not counts."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+def _require_count(name: str, value, least: int = 0) -> None:
+    """A Python or numpy integer of at least ``least``; booleans are not
+    counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

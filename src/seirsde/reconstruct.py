@@ -10,7 +10,6 @@ to one up to rounding (a few 1e-16).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,14 +17,15 @@ import numpy as np
 
 from .errors import (EmptySeriesError, LengthMismatchError,
                      NegativeCountError, ReplicateError)
-from .model import (INITIAL_POOL_PRIOR, ModelParams, Path,
+from .model import (INITIAL_POOL_PRIOR, ModelParams, Path, _require_count,
                     _require_positive_step)
 from .simulate import _run_batch, _step_s_e_ia, replicate_seed
 
 
 @dataclass(frozen=True)
 class IncidenceSeries:
-    """Daily reported symptomatic case counts plus the population size."""
+    """Daily reported symptomatic case counts plus the population size, an
+    integer of at least 1 and of the largest count."""
 
     dates: tuple
     counts: tuple
@@ -40,8 +40,7 @@ class IncidenceSeries:
             raise EmptySeriesError("an incidence series needs records")
         if any(c < 0 for c in self.counts):
             raise NegativeCountError("counts must be nonnegative")
-        if self.population_n < 1:
-            raise ValueError("population_n must be at least 1")
+        _require_count("population_n", self.population_n, 1)
         if self.population_n < max(self.counts):
             raise ValueError("population_n must be at least the largest count")
 
@@ -75,14 +74,10 @@ class ReconstructConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        n = self.population_n
-        if n is None:
-            if self.resample_initials:
-                raise ValueError("resample_initials requires population_n")
-        elif isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError("population_n must be an integer")
-        elif n < 1:
-            raise ValueError("population_n must be at least 1")
+        if self.population_n is not None:
+            _require_count("population_n", self.population_n, 1)
+        elif self.resample_initials:
+            raise ValueError("resample_initials requires population_n")
 
 
 def normalize(series: IncidenceSeries) -> np.ndarray:

@@ -117,8 +117,9 @@ def simulate_path(cfg: SimConfig,
     """Integrate the stochastic system over n_steps from cfg.init.
 
     Deterministic given cfg; pass ``increments`` to reuse an externally
-    drawn Wiener stream, one increment per step. Raises PositivityError
-    naming the first step and component that leave [0, 1].
+    drawn Wiener stream, one increment per step. Steps the whole path, then
+    scans it once as the batch engine scans a block: raises PositivityError
+    naming the first step and component that left [0, 1] (NaN included).
     """
     if increments is None:
         increments = draw_increments(cfg.seed, cfg.n_steps, cfg.dt)
@@ -130,12 +131,15 @@ def simulate_path(cfg: SimConfig,
     cols = np.empty((5, n + 1))
     x = (cfg.init.s, cfg.init.e, cfg.init.i_a, cfg.init.i_s, cfg.init.r)
     cols[:, 0] = x
-    for k in range(n):
-        x = _step_values(x, dw[k], cfg.dt, cfg.params, milstein)
-        for name, v in zip(_COMPONENTS, x):
-            if not 0.0 <= v <= 1.0:
-                raise PositivityError(k, name, v)
-        cols[:, k + 1] = x
+    # past a failing step the state may overflow; the scan reports the step
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            x = _step_values(x, dw[k], cfg.dt, cfg.params, milstein)
+            cols[:, k + 1] = x
+    failures = {}
+    _scan_block(cols[:, :, None], 0, n, 5, np.zeros(1, bool), failures)
+    if failures:
+        raise failures[0]
     return Path(0.0, cfg.dt, cols[0], cols[1], cols[2], cols[3], cols[4],
                 wiener=dw.copy())
 

@@ -138,35 +138,64 @@ def test_criterion_5_closed_form_identity():
     assert worst <= 1e-10
 
 
+def _quadratic_maximiser(f, center, h):
+    """Stationary point of f from its gradient and Hessian at ``center`` by
+    central differences of step h; exact for a quadratic up to rounding."""
+    steps = h * np.eye(3)
+    f0 = f(center)
+    grad = np.empty(3)
+    hess = np.empty((3, 3))
+    for i in range(3):
+        fp, fm = f(center + steps[i]), f(center - steps[i])
+        grad[i] = (fp - fm) / (2 * h)
+        hess[i, i] = (fp - 2 * f0 + fm) / h**2
+        for j in range(i):
+            hess[i, j] = hess[j, i] = (
+                f(center + steps[i] + steps[j])
+                - f(center + steps[i] - steps[j])
+                - f(center - steps[i] + steps[j])
+                + f(center - steps[i] - steps[j])) / (4 * h**2)
+    return center - np.linalg.solve(hess, grad)
+
+
 def test_criterion_6_likelihood_maximality():
     t0 = time.time()
     hits = 0
     n_paths = 50
     th0 = (PARAMS.beta_s, PARAMS.beta_a, PARAMS.p)
+    worst_gap = np.zeros(3)  # |exact maximiser - closed form| per parameter
     for seed in range(900, 900 + n_paths):
         path = simulate_path(SimConfig(params=PARAMS, init=INTERIOR_INIT,
                                        dt=1e-3, n_steps=4000, seed=seed))
         betas = estimate_betas(path, PARAMS, sigma=0.01)
         p_hat = estimate_p(path, PARAMS, sigma=0.01).value
         center = np.array([betas.beta_s, betas.beta_a, p_hat])
+
+        def loglik(theta):
+            return girsanov_loglik(path, theta, th0, PARAMS.kappa, 0.01)
+
         spacing = 0.05 * np.maximum(np.abs(center), 0.01)
         best, best_idx = -np.inf, None
         for i in range(-2, 3):
             for j in range(-2, 3):
                 for k in range(-2, 3):
-                    theta = center + spacing * np.array([i, j, k])
-                    val = girsanov_loglik(path, theta, th0, PARAMS.kappa,
-                                          0.01)
+                    val = loglik(center + spacing * np.array([i, j, k]))
                     if val > best:
                         best, best_idx = val, (i, j, k)
-        center_val = girsanov_loglik(path, center, th0, PARAMS.kappa, 0.01)
+        center_val = loglik(center)
         if best_idx == (0, 0, 0) or best <= center_val + 1e-6:
             hits += 1
+        gap = np.abs(_quadratic_maximiser(loglik, center, 0.01) - center)
+        worst_gap = np.maximum(worst_gap, gap)
     elapsed = time.time() - t0
-    ok = hits >= 0.95 * n_paths
+    ok = hits >= 0.95 * n_paths and np.all(worst_gap <= 1e-3)
     report("6 likelihood maximality", ok, elapsed,
-           f"centre cell attains the grid maximum on {hits}/{n_paths} paths")
+           f"centre cell attains the grid maximum on {hits}/{n_paths} paths; "
+           f"exact maximiser within (beta_s, beta_a, p) = "
+           f"({worst_gap[0]:.1e}, {worst_gap[1]:.1e}, {worst_gap[2]:.1e}) "
+           f"of the closed form")
     assert hits >= 0.95 * n_paths
+    assert np.all(worst_gap <= 1e-3)
 
 
 def test_criterion_7_residual_gaussianity_and_round_trip():

@@ -63,9 +63,9 @@ GOLDEN = {
     "estimate_replicated/estimate.json":
         "e24122cdb4f876a84d9273b668824b7e5f28ae536d5851105bb3f7721f816e37",
     "validate_em/normality.json":
-        "ad6f1d33127369baae9ba4cdb6f30e311bf6d94bc47cfa4f2d92924be5390f68",
+        "6d50ab728902b350246b9e5b0249ccf9bf2da8f678dd5a35ba13dc0b017810c1",
     "validate_em/residuals.csv":
-        "7400f3736f6301d506db76bc5dd709cac8cb0609719fbda7216f2fc69b5f4561",
+        "6337617974de6a738215cdf3da8c5bc9eb77f25218d50348d15f8d3f46870fe7",
     "validate_log/normality.json":
         "2fb32712341415e229e00b5b7bdb3f6f1ed661f20f16bc6afcb635a238619094",
     "validate_log/residuals.csv":

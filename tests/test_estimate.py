@@ -262,19 +262,28 @@ class TestGirsanov:
         truth = (params.beta_s, params.beta_a, params.p)
         assert girsanov_loglik(path, truth, truth, params.kappa, 0.01) == 0.0
 
-    def test_brute_force_summation_oracle(self, params, interior_init):
+    # one offset per entry of b and diagonal of M, then all three together
+    # for the off-diagonal J_sa
+    @pytest.mark.parametrize("offset", [(0.01, 0.0, 0.0), (0.0, 0.02, 0.0),
+                                        (0.0, 0.0, 0.03),
+                                        (0.01, -0.02, 0.03)],
+                             ids=["beta_s", "beta_a", "p", "all"])
+    def test_brute_force_summation_oracle(self, params, interior_init,
+                                          offset):
         path = sim(params, interior_init, seed=3)
         th0 = (params.beta_s, params.beta_a, params.p)
-        th = (params.beta_s + 0.01, params.beta_a, params.p)
+        th = tuple(t + d for t, d in zip(th0, offset))
         out = girsanov_loglik(path, th, th0, params.kappa, 0.01)
         total = 0.0
-        sig = 0.01
+        sig, k_ = 0.01, params.kappa
+        d_bs, d_ba, d_p = offset
         for k in range(len(path) - 1):
             s, e = path.s[k], path.e[k]
             ia, is_ = path.i_a[k], path.i_s[k]
-            dfb = 0.01 * is_
+            dfb = d_bs * is_ + d_ba * ia
             g = np.array([-dfb * s / (sig * (1 - s)), -dfb * s / (sig * e),
-                          0.0, 0.0])
+                          -d_p * k_ * e / (sig * ia),
+                          d_p * k_ * e / (sig * is_)])
             total += g.sum() * path.wiener[k] - 0.5 * (g @ g) * path.dt
         assert out == pytest.approx(total, rel=1e-10)
 

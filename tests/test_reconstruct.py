@@ -49,6 +49,13 @@ class TestIncidenceSeries:
         with pytest.raises(ValueError, match="at least 1"):
             IncidenceSeries(("a", "b", "c"), (0, 0, 0), population_n)
 
+    @pytest.mark.parametrize("population_n", [2.5, True])
+    def test_rejects_population_that_is_not_an_integer(self, population_n):
+        # both clear the count bounds; normalize would divide by 2.5 or 1
+        with pytest.raises(ValueError, match="population_n must be an "
+                                             "integer"):
+            IncidenceSeries(("a", "b"), (1, 1), population_n)
+
 
 class TestReconstructConfig:
     @pytest.mark.parametrize("population_n", [0, -5, 2.5, True])

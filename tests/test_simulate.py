@@ -16,7 +16,7 @@ from seirsde.simulate import (_ELEMENT_BUDGET, SCHEME_EULER, SCHEME_MILSTEIN,
                               simulate_batch)
 
 from conftest import (INTERIOR_INIT, as_matrix, one_step, reference_path_csv,
-                      sde_drift)
+                      sde_drift, stochastic_diffusion)
 
 
 def cfg_for(params, init, n_steps=47, dt=1e-3, seed=0, **kw):
@@ -162,6 +162,33 @@ class TestSimulatePath:
         with pytest.raises(PositivityError) as err:
             simulate_path(cfg)
         assert 0 <= err.value.step < 200
+
+    def test_failing_path_is_stepped_to_its_end_without_warning(
+            self, params, interior_init):
+        # at dt = 0.05 and sigma = 8 every path leaves [0, 1] within a few
+        # steps and then overflows; the error still names the first bad
+        # step, which an Euler replay from the oracle fields finds
+        wild = params.replaced(sigma=8.0)
+        for seed in range(8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PositivityError) as err:
+                    simulate_path(cfg_for(wild, interior_init, n_steps=500,
+                                          dt=0.05, seed=seed))
+            dw = draw_increments(seed, 500, 0.05)
+            x = interior_init
+            for k in range(500):
+                nxt = (x.as_array() + sde_drift(x, wild) * 0.05
+                       + stochastic_diffusion(x, 8.0) * dw[k])
+                bad = np.flatnonzero((nxt < 0.0) | (nxt > 1.0))
+                if bad.size:
+                    break
+                x = StateVec(*nxt.tolist())
+            assert bad.size
+            assert err.value.step == k
+            assert err.value.component == ("s", "e", "i_a", "i_s",
+                                            "r")[bad[0]]
+            assert err.value.value == pytest.approx(nxt[bad[0]], rel=1e-12)
 
 
 class TestBatchEngine:
