@@ -72,14 +72,17 @@ class McmcConfig:
                              f"scales, got {self.proposal_sd!r}")
 
 
-def _ode_core(params: ModelParams, init5, dt: float, n_steps: int):
+def _ode_core(params: ModelParams, p_: float, kp: float, init5, dt: float,
+              n_steps: int):
     """RK4 on the five-equation deterministic system, plain floats.
 
-    Unrolled because the Metropolis likelihood calls this once per
-    proposal; tuple comprehensions would dominate the chain's runtime.
+    p and kappa come apart from the other rates of ``params``, so the
+    Metropolis likelihood, which calls this once per proposal, builds no
+    ``ModelParams`` per proposal. Unrolled for the same reason; tuple
+    comprehensions would dominate the chain's runtime.
     """
     mu, bs, ba = params.mu, params.beta_s, params.beta_a
-    kp, p_, th = params.kappa, params.p, params.theta
+    th = params.theta
     aa, as_, gm = params.alpha_a, params.alpha_s, params.gamma
     ke = kp + mu
     qa = aa + mu
@@ -129,7 +132,8 @@ def ode_rk4(params: ModelParams, init: StateVec, dt: float,
     """
     _require_positive_step("dt", dt)
     _require_count("n_steps", n_steps)
-    arr = np.array(_ode_core(params, init.as_array(), dt, n_steps))
+    arr = np.array(_ode_core(params, params.p, params.kappa, init.as_array(),
+                             dt, n_steps))
     return Path(0.0, dt, *arr.T, require_simplex=False)
 
 
@@ -153,15 +157,21 @@ def cumulative_incidence(path: Path, params: ModelParams,
     return np.array([0.0] + _running_sums(rate, path.e.tolist()))
 
 
-def _poisson_sum(counts, lam) -> float:
-    """``poisson_loglik`` over (count, mean) pairs, without the checks."""
+def _log_factorials(counts) -> list:
+    """log(y!) of each count, the constant part of its Poisson log mass."""
+    return [math.lgamma(y + 1.0) for y in counts]
+
+
+def _poisson_sum(counts, lam, log_fact) -> float:
+    """``poisson_loglik`` over (count, mean, log count!) triples, without
+    the checks."""
     total = 0.0
-    for y, mean in zip(counts, lam):
+    for y, mean, lf in zip(counts, lam, log_fact):
         if mean <= 0.0:
             if y > 0.0:
                 raise DomainError(f"zero mean with positive count {y!r}")
             continue
-        total += y * math.log(mean) - mean - math.lgamma(y + 1.0)
+        total += y * math.log(mean) - mean - lf
     return total
 
 
@@ -171,7 +181,7 @@ def poisson_loglik(counts: Sequence[int], lam: Sequence[float]) -> float:
     lam_arr = np.asarray(lam, dtype=float)
     if y.shape != lam_arr.shape:
         raise LengthMismatchError("counts and means must have equal length")
-    return _poisson_sum(y, lam_arr)
+    return _poisson_sum(y, lam_arr, _log_factorials(y))
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,7 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
     if series is not None and n_days > 0:
         counts = np.asarray(series.counts, dtype=float)
         y_days = (np.cumsum(counts) - counts[0])[1:].tolist()  # day >= 1
+        log_fact = _log_factorials(y_days)
     init5 = init.as_array()
 
     def loglik(p_, kappa_):
@@ -207,12 +218,12 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
         # the proposals are numpy scalars; the pure-Python RK4 runs 2-4x
         # faster on floats, with bit-identical results
         p_, kappa_ = float(p_), float(kappa_)
-        model = fixed.replaced(p=p_, kappa=kappa_)
-        states = _ode_core(model, init5, 1.0, n_days)  # one step a day
+        # one step a day
+        states = _ode_core(fixed, p_, kappa_, init5, 1.0, n_days)
         rate = (1.0 - p_) * kappa_ * series.population_n
         lam = _running_sums(rate, [x[1] for x in states])
         try:
-            return _poisson_sum(y_days, lam)
+            return _poisson_sum(y_days, lam, log_fact)
         except DomainError:  # a zero mean under a positive count
             return -math.inf
 

@@ -38,8 +38,7 @@ EXIT_CODES = {
     errors.ReplicateError: 18,
 }
 
-# grid step in days for the simulate, reconstruct, estimate and mc-study
-# blocks that do not give one
+# grid step in days for the simulate and mc-study blocks that do not give one
 _DEFAULT_DT = 1e-3
 
 # the default of a key that a config object must give
@@ -176,11 +175,12 @@ _SIMULATE = {
     "output": (_file_name, "path.csv")}
 _SERIES = {"incidence": (_file_name, _REQUIRED),
            "population_n": (_integer, _REQUIRED)}
-# the keys of a block that reconstructs from an incidence series, n_rep aside
+# the keys of a block that reconstructs from an incidence series, n_rep
+# aside; the records of a series are daily counts, so one day apart
 _RECONSTRUCTION = {
     **_SERIES, "init_e": (_real, model.BASELINE_INIT.e),
     "init_ia": (_real, model.BASELINE_INIT.i_a),
-    "init_r": (_real, model.BASELINE_INIT.r), "dt": (_real, _DEFAULT_DT),
+    "init_r": (_real, model.BASELINE_INIT.r), "dt": (_real, 1.0),
     "resample_initials": (_flag, False)}
 _RECONSTRUCT = {**_RECONSTRUCTION, "n_rep": (_integer, 1)}
 _ESTIMATE = {"known_sigma": (_real, None),

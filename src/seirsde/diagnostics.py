@@ -22,7 +22,7 @@ from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
 from .estimate import _check_known_sigma, _estimate_replicates
 from .model import (ModelParams, Path, StateVec, _require_positive_step,
                     _window_ends)
-from .simulate import _step_s_e_ia, _write_rows, simulate_batch
+from .simulate import _step_s, _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
 _CHI2_2_CRITICAL = {0.01: 9.21034037197618, 0.05: 5.991464547107979}
@@ -84,8 +84,7 @@ def residual_increments(path: Path, params: ModelParams,
     sig = params.sigma
     dt = path.dt
     if method == "em":
-        s_hat, _, _ = _step_s_e_ia(s[:-1], path.e[:-1], ia[:-1], is_[:-1],
-                                   r[:-1], 0.0, dt, params)
+        _, s_hat = _step_s(s[:-1], ia[:-1], is_[:-1], r[:-1], 0.0, dt, params)
         raw = (s[1:] - s_hat) / (sig * one_minus_s[:-1])
     elif method == "log":
         fb = params.beta_s * is_ + params.beta_a * ia

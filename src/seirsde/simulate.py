@@ -1,7 +1,14 @@
 """Sample-path generation for the stochastic system.
 
 Euler-Maruyama and Milstein steps share one Wiener stream per path; the same
-increment enters all five equations. Increments come from numpy's PCG64
+increment enters all five equations. The Euler-Maruyama line is evaluated in
+coefficient form: each coordinate steps as x ((1 - q dt) - sigma dW) plus its
+inflow times dt, q its outflow rate; S adds mu dt + sigma dW - fb + gamma dt R,
+fb being the infection flow. sigma dW and fb are formed once per step, and the
+Milstein correction is added after the Euler part. This agrees with the
+expanded line x + drift dt + diffusion dW to rounding, a few 1e-16 per step,
+not bitwise; the scalar and batch simulators evaluate the same function, so
+their rows stay bitwise equal. Increments come from numpy's PCG64
 generator (normal draws via the ziggurat method), and replicate streams
 derive from a base seed through ``replicate_seed`` so any Monte Carlo run
 is reproducible end to end.
@@ -78,28 +85,43 @@ def draw_increments(seed, n_steps: int, dt: float) -> np.ndarray:
     return dw
 
 
+def _step_s(s, ia, is_, r, sdw, dt, params):
+    """The infection flow fb = (beta_s dt I_s + beta_a dt I_a) S of one
+    Euler-Maruyama step and S after it, with sdw = sigma dW; floats or
+    arrays."""
+    mu_dt = params.mu * dt
+    fb = (params.beta_s * dt * is_ + params.beta_a * dt * ia) * s
+    return fb, (s * ((1.0 - mu_dt) - sdw) + (mu_dt + sdw) - fb
+                + params.gamma * dt * r)
+
+
+def _step_e_ia(e, ia, fb, sdw, dt, params):
+    """E and I_a after the step whose infection flow ``_step_s`` gave."""
+    e1 = e * ((1.0 - (params.kappa + params.mu) * dt) - sdw) + fb
+    ia1 = (ia * ((1.0 - (params.alpha_a + params.mu) * dt) - sdw)
+           + params.p * params.kappa * dt * e)
+    return e1, ia1
+
+
 def _step_s_e_ia(s, e, ia, is_, r, dw, dt, params):
     """S, E and I_a after one Euler-Maruyama step; floats or arrays."""
-    fbs = (params.beta_s * is_ + params.beta_a * ia) * s
-    sig = params.sigma
-    s1 = s + (params.mu - params.mu * s - fbs + params.gamma * r) * dt \
-        + sig * (1.0 - s) * dw
-    e1 = e + (fbs - (params.kappa + params.mu) * e) * dt - sig * e * dw
-    ia1 = ia + (params.p * params.kappa * e
-                - (params.alpha_a + params.mu) * ia) * dt - sig * ia * dw
-    return s1, e1, ia1
+    sdw = params.sigma * dw
+    fb, s1 = _step_s(s, ia, is_, r, sdw, dt, params)
+    return (s1, *_step_e_ia(e, ia, fb, sdw, dt, params))
 
 
 def _step_values(x, dw, dt, params, milstein):
     """One step of all five coordinates, x = (s, e, i_a, i_s, r); floats or
     arrays."""
     s, e, ia, is_, r = x
-    s1, e1, ia1 = _step_s_e_ia(s, e, ia, is_, r, dw, dt, params)
     sig = params.sigma
-    is1 = is_ + ((1.0 - params.p) * params.kappa * e
-                 - (params.alpha_s + params.mu) * is_) * dt - sig * is_ * dw
-    r1 = r + (params.alpha_a * ia + params.alpha_s * is_
-              - (params.mu + params.gamma) * r) * dt - sig * r * dw
+    sdw = sig * dw
+    fb, s1 = _step_s(s, ia, is_, r, sdw, dt, params)
+    e1, ia1 = _step_e_ia(e, ia, fb, sdw, dt, params)
+    is1 = (is_ * ((1.0 - (params.alpha_s + params.mu) * dt) - sdw)
+           + (1.0 - params.p) * params.kappa * dt * e)
+    r1 = (r * ((1.0 - (params.mu + params.gamma) * dt) - sdw)
+          + (params.alpha_a * dt * ia + params.alpha_s * dt * is_))
     if milstein:
         # diffusion b_i is affine with b_i' = -sigma except for S where
         # b(S) = sigma (1 - S), b' = -sigma; correction = 0.5 b b' (dW^2 - dt)
@@ -131,10 +153,11 @@ def simulate_path(cfg: SimConfig,
     cols = np.empty((5, n + 1))
     x = (cfg.init.s, cfg.init.e, cfg.init.i_a, cfg.init.i_s, cfg.init.r)
     cols[:, 0] = x
-    # past a failing step the state may overflow; the scan reports the step
+    # past a failing step the state may overflow; the scan reports the step.
+    # Python floats step faster than numpy scalars, and round the same.
     with np.errstate(all="ignore"):
-        for k in range(n):
-            x = _step_values(x, dw[k], cfg.dt, cfg.params, milstein)
+        for k, w in enumerate(dw.tolist()):
+            x = _step_values(x, w, cfg.dt, cfg.params, milstein)
             cols[:, k + 1] = x
     failures = {}
     _scan_block(cols[:, :, None], 0, n, 5, np.zeros(1, bool), failures)

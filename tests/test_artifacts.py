@@ -55,23 +55,23 @@ RUNS = [
 
 GOLDEN = {
     "euler/path.csv":
-        "103f9369fc0ee2821a82b87008a54f326a9b23779316d13fc18147460df177be",
+        "041fae510853b37d4dff05d576adc1e91ac2cb3437cf1152aad5c5232393e9d3",
     "milstein/path.csv":
-        "3171094a12f0acc9bcb3bb49aaa9d400fb89dfd62721b093e6b825e5f133c45e",
+        "3daa3929e13b3483149874b10484aafd7cb4cf240f7abca7dfa3dbb8cd161117",
     "estimate_path/estimate.json":
-        "eca86ee5594718b6e0d989af673574c371e13c2c4475f348e56f9ac5a127c321",
+        "22cdf430b086494e2864ff54605b20859466f98dfea11e6ffc94044bb04d4bb5",
     "estimate_replicated/estimate.json":
-        "e24122cdb4f876a84d9273b668824b7e5f28ae536d5851105bb3f7721f816e37",
+        "47b33048fc56ef05dbfa4fbda9b5291906bb8589cdedf6c84ffd5bcbde9bd13c",
     "validate_em/normality.json":
-        "6d50ab728902b350246b9e5b0249ccf9bf2da8f678dd5a35ba13dc0b017810c1",
+        "04cf28407aacb3aaf76f000c81e19121227170c80b38e0372b1101defd73de42",
     "validate_em/residuals.csv":
-        "6337617974de6a738215cdf3da8c5bc9eb77f25218d50348d15f8d3f46870fe7",
+        "02b7bc00879ca501253afe0a3415f6a158ee79f9918edde82b9359bf773afcbc",
     "validate_log/normality.json":
-        "2fb32712341415e229e00b5b7bdb3f6f1ed661f20f16bc6afcb635a238619094",
+        "6b0ce1b94a6d4ce90d5939233387c789d90fd1687cfe5060c6d58969f6b75cec",
     "validate_log/residuals.csv":
-        "b65a5db667619d1cd9522fa937cb97bfebd7ec6d4eccd5e45648736afba65d2e",
+        "66b1c6a27b0d479af8584f54cf2a6dce233f7e90e7906ebb067f56270b0023cb",
     "mc_study/consistency.csv":
-        "fe4d9aac68baeef987ef922806e16ee0961df2c0eb39ec109616772077f170cf",
+        "3ae569485056638c11ce62524c6214c0075e6f93024ca5b3a87d8a285060e2ef",
     "mcmc_incidence/samples.csv":
         "1438bdf9c4955b7162e1d8682a100ed81fa304f9ce3fd19d600f1ebad0b684cd",
     "mcmc_prior/samples.csv":

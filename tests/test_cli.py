@@ -160,6 +160,25 @@ class TestReconstructCommand:
         for name in manifest["files"]:
             assert (out / name).exists()
 
+    def test_daily_counts_step_one_day_by_default(self, tmp_path):
+        # an incidence file holds daily counts, so without a dt its records
+        # sit one day apart, as the mcmc block reads them
+        series = tmp_path / "cases.csv"
+        rows = ["date,count"] + [f"2020-03-{10 + k},{70 + 3 * k}"
+                                 for k in range(10)]
+        series.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, reconstruct={
+            "incidence": str(series), "population_n": 26_446_435,
+            "n_rep": 3})
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--config", cfg, "--seed", "11",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in manifest["files"]:
+            lines = (out / name).read_text().splitlines()[1:]
+            assert [line.split(",")[0] for line in lines] == \
+                [str(k) for k in range(10)]
+
 
 class TestValidateCommand:
     def test_emits_residuals_qq_and_verdict(self, tmp_path):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seirsde import (BASELINE_PARAMS, ParseError, Path, PositivityError,
@@ -121,6 +121,30 @@ class TestStepMilstein:
                  - one_step(baseline_init, 0.02, cfg).as_array())
         assert delta[0] == pytest.approx(1.054051025268954e-11, rel=1e-10)
         assert delta[1] == pytest.approx(-5.6294314730176106e-12, rel=1e-10)
+
+
+class TestStepOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5),
+           sigma=st.floats(0.0, 0.5), dt=st.floats(1e-4, 0.1),
+           seed=st.integers(0, 2**32 - 1),
+           scheme=st.sampled_from([SCHEME_EULER, SCHEME_MILSTEIN]))
+    def test_step_matches_the_expanded_line(self, weights, sigma, dt, seed,
+                                            scheme):
+        # the simulator evaluates each update in coefficient form; to
+        # rounding it is x + drift dt + diffusion dW, plus for Milstein
+        # 0.5 b b' (dW^2 - dt) with b' = -sigma in every coordinate
+        x = StateVec(*(np.array(weights) / sum(weights)).tolist())
+        params = BASELINE_PARAMS.replaced(sigma=sigma)
+        dw = float(np.random.default_rng(seed).normal(0.0, math.sqrt(dt)))
+        expected = (x.as_array() + sde_drift(x, params) * dt
+                    + stochastic_diffusion(x, sigma) * dw)
+        if scheme == SCHEME_MILSTEIN:
+            expected += 0.5 * sigma**2 * (dw**2 - dt) * np.array(
+                [-(1.0 - x.s), x.e, x.i_a, x.i_s, x.r])
+        assume(np.all((expected > 1e-12) & (expected < 1.0 - 1e-12)))
+        out = one_step(x, dw, cfg_for(params, x, dt=dt, scheme=scheme))
+        assert np.abs(out.as_array() - expected).max() <= 1e-15
 
 
 class TestSimulatePath:
