@@ -6,6 +6,9 @@ left-point Ito sum; trapezoids would bias the stochastic integrals. The
 noise intensity comes first from quadratic variation, then the two
 transmission rates solve a 2x2 normal-equations system and the symptomatic
 proportion has its own closed form; all three accept a known sigma instead.
+The J's, the A functionals, p and the likelihood ratio weight their sums by
+four left-point rows, S/(1-S), S/E, E/I_s and E/I_a, formed once by
+``_j_terms``.
 """
 
 from __future__ import annotations
@@ -105,16 +108,16 @@ def _sigma_terms(cols, dt: float):
 
 @np.errstate(all="ignore")
 def _j_terms(cols, dt: float, kappa: float):
-    """J_s, J_a, J_sa and J_2 by left-point rectangles."""
-    s, e, ia, is_, _ = cols
-    u = s / (1.0 - s)
-    v = s / e
-    j_s = np.sum(((u * is_) ** 2 + (v * is_) ** 2)[..., :-1], axis=-1) * dt
-    j_a = np.sum(((u * ia) ** 2 + (v * ia) ** 2)[..., :-1], axis=-1) * dt
-    j_sa = np.sum((ia * is_ * (u**2 + v**2))[..., :-1], axis=-1) * dt
-    j_2 = np.sum((kappa**2 * e**2 / is_**2
-                  + kappa**2 * e**2 / ia**2)[..., :-1], axis=-1) * dt
-    return j_s, j_a, j_sa, j_2
+    """J_s, J_a, J_sa and J_2 by left-point rectangles, and the left-point
+    rows u = S/(1-S), v = S/E, a = E/I_s and c = E/I_a that weight them."""
+    s, e, ia, is_ = (x[..., :-1] for x in cols[:4])
+    u, v, a, c = s / (1.0 - s), s / e, e / is_, e / ia
+    q = u**2 + v**2
+    j_s = np.sum(is_**2 * q, axis=-1) * dt
+    j_a = np.sum(ia**2 * q, axis=-1) * dt
+    j_sa = np.sum(ia * is_ * q, axis=-1) * dt
+    j_2 = kappa**2 * np.sum(a**2 + c**2, axis=-1) * dt
+    return (j_s, j_a, j_sa, j_2), (u, v, a, c)
 
 
 @np.errstate(all="ignore")
@@ -124,32 +127,34 @@ def _kernel(cols, dt: float, params: ModelParams,
 
     mu, gamma, kappa and the alphas are known from ``params``; a known
     ``sigma`` replaces the quadratic-variation estimate in the A functionals
-    and in p.
+    and in p. Every sum is weighted by the rows of ``_j_terms``.
     """
     s, e, ia, is_, r = cols
     denoms, comps, sig = _sigma_terms(cols, dt)
     if sigma is not None:
         sig = np.full(sig.shape, float(sigma))
-    j_s, j_a, j_sa, j_2 = _j_terms(cols, dt, params.kappa)
+    (j_s, j_a, j_sa, j_2), (u, v, a, c) = _j_terms(cols, dt, params.kappa)
     # j_sa * j_sa, not j_sa**2: on a 0-d value ** calls C pow, on an array
     # numpy squares, and the two can round apart
     det = j_s * j_a - j_sa * j_sa
     half_var = 0.5 * sig * sig
     hv = half_var[..., None]  # broadcast along time
-    one_minus_s = 1.0 - s
-    dlog_oms = np.diff(np.log(one_minus_s), axis=-1)
+    dlog_oms = np.diff(np.log(1.0 - s), axis=-1)
     dlog_e = np.diff(np.log(e), axis=-1)
+    rate_u = params.mu + params.gamma * r[..., :-1] / (1.0 - s[..., :-1]) + hv
+    rate_v = params.mu + hv
 
+    # One left-point sum per integral: the grouping of the paper's closed
+    # forms and of the tests' expanded oracle. Merging a branch's dt sums
+    # into one sum moves beta about 1e-10 relative away from that oracle.
     def a_functional(istar):
         """Right-hand side of the normal equations for one branch."""
-        u = s * istar / one_minus_s
-        v = s * istar / e
-        return (np.sum(u[..., :-1] * dlog_oms, axis=-1)
-                + np.sum((u * (params.mu + params.gamma * r / one_minus_s
-                               + hv))[..., :-1], axis=-1) * dt
-                + np.sum(v[..., :-1] * dlog_e, axis=-1)
-                + np.sum((v * (params.mu + hv))[..., :-1], axis=-1) * dt
-                + params.kappa * (np.sum(v[..., :-1], axis=-1) * dt))
+        iu, iv = istar[..., :-1] * u, istar[..., :-1] * v
+        return (np.sum(iu * dlog_oms, axis=-1)
+                + np.sum(iu * rate_u, axis=-1) * dt
+                + np.sum(iv * dlog_e, axis=-1)
+                + np.sum(iv * rate_v, axis=-1) * dt
+                + params.kappa * (np.sum(iv, axis=-1) * dt))
 
     a_s = a_functional(is_)
     a_a = a_functional(ia)
@@ -161,17 +166,13 @@ def _kernel(cols, dt: float, params: ModelParams,
     cond = np.where(lam_min <= 0, np.inf, lam_max / lam_min)
 
     k = params.kappa
-    e_is = e / is_
-    e_ia = e / ia
-    p_hat = (k**2 * (np.sum((e**2 / is_**2)[..., :-1], axis=-1) * dt)
-             - k * np.sum(e_is[..., :-1] * np.diff(np.log(is_), axis=-1),
-                          axis=-1)
-             + k * np.sum(e_ia[..., :-1] * np.diff(np.log(ia), axis=-1),
-                          axis=-1)
+    p_hat = (k**2 * (np.sum(a**2, axis=-1) * dt)
+             - k * np.sum(a * np.diff(np.log(is_), axis=-1), axis=-1)
+             + k * np.sum(c * np.diff(np.log(ia), axis=-1), axis=-1)
              - k * (params.alpha_s + params.mu + half_var)
-             * (np.sum(e_is[..., :-1], axis=-1) * dt)
+             * (np.sum(a, axis=-1) * dt)
              + k * (params.alpha_a + params.mu + half_var)
-             * (np.sum(e_ia[..., :-1], axis=-1) * dt)) / j_2
+             * (np.sum(c, axis=-1) * dt)) / j_2
     return _Estimates(denoms, comps, sig, j_s, j_a, j_sa, j_2, det,
                       beta_s, beta_a, p_hat, cond)
 
@@ -318,12 +319,11 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
     d = np.array([beta_s - beta_s0, beta_a - beta_a0, p - p0])
     cols = _columns(path)
     _raise_first(_failures(cols))
-    s, e, ia, is_, _ = cols
-    j_s, j_a, j_sa, j_2 = _j_terms(cols, path.dt, kappa)
+    _, _, ia, is_, _ = cols
+    (j_s, j_a, j_sa, j_2), (u, v, a, c) = _j_terms(cols, path.dt, kappa)
     m = np.array([[j_s, j_sa, 0.0], [j_sa, j_a, 0.0], [0.0, 0.0, j_2]])
-    w = (s / (1.0 - s) + s / e)[:-1] * dw
-    b = np.array([-is_[:-1] @ w, -ia[:-1] @ w,
-                  kappa * ((e / is_ - e / ia)[:-1] @ dw)])
+    w = (u + v) * dw
+    b = np.array([-is_[:-1] @ w, -ia[:-1] @ w, kappa * ((a - c) @ dw)])
     return float(d @ b / sigma - 0.5 * (d @ m @ d) / (sigma * sigma))
 
 

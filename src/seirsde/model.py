@@ -33,11 +33,15 @@ def _require_positive_step(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _require_count(name: str, value, least: int = 0) -> None:
-    """A Python or numpy integer of at least ``least``; booleans are not
-    counts."""
+def _require_integer(name: str, value) -> None:
+    """A Python or numpy integer; booleans are not counts."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_count(name: str, value, least: int = 0) -> None:
+    """An integer, as ``_require_integer`` has it, of at least ``least``."""
+    _require_integer(name, value)
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
 

@@ -18,14 +18,15 @@ import numpy as np
 from .errors import (EmptySeriesError, LengthMismatchError,
                      NegativeCountError, ReplicateError)
 from .model import (INITIAL_POOL_PRIOR, ModelParams, Path, _require_count,
-                    _require_positive_step)
+                    _require_integer, _require_positive_step)
 from .simulate import _run_batch, _step_s_e_ia, replicate_seed
 
 
 @dataclass(frozen=True)
 class IncidenceSeries:
-    """Daily reported symptomatic case counts plus the population size, an
-    integer of at least 1 and of the largest count."""
+    """Daily reported symptomatic case counts, nonnegative integers, plus
+    the population size, an integer of at least 1 and of the largest
+    count."""
 
     dates: tuple
     counts: tuple
@@ -33,7 +34,10 @@ class IncidenceSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        counts = tuple(self.counts)
+        for c in counts:
+            _require_integer("a count", c)
+        object.__setattr__(self, "counts", tuple(int(c) for c in counts))
         if len(self.dates) != len(self.counts):
             raise LengthMismatchError("dates and counts differ in length")
         if len(self.counts) < 1:

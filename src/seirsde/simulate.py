@@ -314,8 +314,9 @@ def path_from_csv(source, require_simplex: bool = True) -> Path:
 
     Blank lines are skipped. The body is parsed in one numpy pass; only
     when that fails is it read line by line, to name the first bad line.
-    A non-finite value, or a time off the grid that the first two times
-    set, is a ParseError naming its line.
+    A non-finite value, a second time not after the first, or a time off
+    the grid that the first two times set, is a ParseError naming its
+    line.
     """
     with _opened(source, "r") as fh:
         lines = fh.read().splitlines()
@@ -345,6 +346,7 @@ def path_from_csv(source, require_simplex: bool = True) -> Path:
     finite = np.isfinite(data)
     finite[-1, 6:] = True  # the final row's dW is dropped
     off_grid = np.abs(t - (t0 + dt * np.arange(len(t)))) > _GRID_TOL * abs(dt)
+    off_grid[1] = not dt > 0  # the second time sets dt, which must be positive
     bad = np.flatnonzero(~finite.all(axis=1) | off_grid)
     if bad.size:
         k = int(bad[0])
@@ -353,6 +355,9 @@ def path_from_csv(source, require_simplex: bool = True) -> Path:
             j = int(np.argmin(finite[k]))
             raise ParseError(f"non-finite {header[j]} value "
                              f"{float(data[k, j])!r}", line=lineno)
+        if k == 1:
+            raise ParseError(f"time {float(t[1])!r} is not after the first "
+                             f"time {t0!r}", line=lineno)
         raise ParseError(f"time {float(t[k])!r} is off the grid t0 + k*dt "
                          f"with t0 = {t0!r}, dt = {dt!r}", line=lineno)
     wiener = data[:-1, 6] if len(header) == 7 else None

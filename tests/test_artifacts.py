@@ -59,9 +59,9 @@ GOLDEN = {
     "milstein/path.csv":
         "3daa3929e13b3483149874b10484aafd7cb4cf240f7abca7dfa3dbb8cd161117",
     "estimate_path/estimate.json":
-        "22cdf430b086494e2864ff54605b20859466f98dfea11e6ffc94044bb04d4bb5",
+        "9d04f1bbdb1fa8acb6b6afb7623ef885ca4f40bdbcd38930733d1e1082fdc23b",
     "estimate_replicated/estimate.json":
-        "47b33048fc56ef05dbfa4fbda9b5291906bb8589cdedf6c84ffd5bcbde9bd13c",
+        "b77ef651404e17f57091cefebb0fdd6a0ee1e1553d6b4d8cc7a655b871035a19",
     "validate_em/normality.json":
         "04cf28407aacb3aaf76f000c81e19121227170c80b38e0372b1101defd73de42",
     "validate_em/residuals.csv":
@@ -71,7 +71,7 @@ GOLDEN = {
     "validate_log/residuals.csv":
         "66b1c6a27b0d479af8584f54cf2a6dce233f7e90e7906ebb067f56270b0023cb",
     "mc_study/consistency.csv":
-        "3ae569485056638c11ce62524c6214c0075e6f93024ca5b3a87d8a285060e2ef",
+        "0953a6f2de63449913eed3acd86f2c3eb61d30d27312f455c76b403d0a5f61f0",
     "mcmc_incidence/samples.csv":
         "1438bdf9c4955b7162e1d8682a100ed81fa304f9ce3fd19d600f1ebad0b684cd",
     "mcmc_prior/samples.csv":

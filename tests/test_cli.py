@@ -345,6 +345,23 @@ class TestErrorMapping:
         assert code == EXIT_CODES[ParseError]
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "estimate"])
+    @pytest.mark.parametrize("times,blank,line", [
+        ((0.0, -0.001, -0.002), False, 3), ((0.0, 0.0), False, 3),
+        ((0.0, 0.0, 0.001), True, 4)])
+    def test_second_time_not_after_the_first_is_a_parse_error(
+            self, tmp_path, capsys, command, times, blank, line):
+        rows = [f"{t!r},0.9,0.05,0.02,0.02,0.01" for t in times]
+        if blank:
+            rows.insert(1, "")
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_text("\n".join(["t,S,E,Ia,Is,R"] + rows) + "\n")
+        cfg = write_config(tmp_path, **{command: {"path_csv": str(path_csv)}})
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ParseError]
+        err = capsys.readouterr().err
+        assert f"line {line}: time {times[1]!r} is not after" in err
+
     def test_unknown_prior_key_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mcmc={"iterations": 10,
                                            "priors": {"p_low": 0.2}})
@@ -465,6 +482,23 @@ class TestErrorMapping:
         assert {row: set(re.findall(r"`([a-z_]+)`", keys))
                 for row, keys in rows.items()} == \
             {row: set(table) for row, table in tables.items()}
+        # a group of keys, then what the README says of them in parentheses
+        group = re.compile(r"((?:`[a-z_]+`(?:, | and )?)+)"
+                           r"(?: \(((?:[^()]|\(\))*)\))?")
+        for row, keys in rows.items():
+            for names, said in group.findall(keys):
+                for key in re.findall(r"`([a-z_]+)`", names):
+                    default = tables[row][key][1]
+                    if default is cli._REQUIRED:
+                        continue
+                    assert said, f"{row}: {key} shows no default"
+                    first = re.match(r"`([^`]*)`|[^,;]*", said)
+                    try:
+                        shown = json.loads(first[1] or first[0])
+                    except ValueError:  # prose, such as "estimated"
+                        continue
+                    assert shown == json.loads(json.dumps(default)), \
+                        f"{row}: {key} shows {shown!r}, not {default!r}"
 
     def test_distinct_exit_codes(self):
         codes = list(EXIT_CODES.values())

@@ -151,7 +151,8 @@ class TestJFunctionals:
     # values come from the J kernel itself rather than from estimate_path
     def test_two_point_hand_values(self, params):
         path = hand_path(TWO_POINT)
-        j_s, j_a, j_sa, j_2 = _j_terms(_columns(path), path.dt, params.kappa)
+        (j_s, j_a, j_sa, j_2), _ = _j_terms(_columns(path), path.dt,
+                                            params.kappa)
         assert j_s == pytest.approx(0.07270755555555555, rel=1e-13)
         assert j_a == pytest.approx(0.163592, rel=1e-13)
         assert j_sa == pytest.approx(0.10906133333333333, rel=1e-13)
@@ -160,7 +161,8 @@ class TestJFunctionals:
     def test_equal_branches_collapse(self, params):
         path = hand_path([(0.88, 0.05, 0.02, 0.02, 0.03),
                           (0.86, 0.06, 0.025, 0.025, 0.03)])
-        j_s, j_a, j_sa, _ = _j_terms(_columns(path), path.dt, params.kappa)
+        (j_s, j_a, j_sa, _), _ = _j_terms(_columns(path), path.dt,
+                                          params.kappa)
         assert j_s == j_a
         assert j_sa == pytest.approx(j_s, rel=1e-15)
 
@@ -329,6 +331,75 @@ class TestGirsanov:
         val = girsanov_loglik(path, th, th, params.kappa, 0.01,
                               increments=np.zeros(2))
         assert val == 0.0
+
+
+def longdouble_estimates(path, params):
+    """sigma, J_s, J_a, J_sa, J_2, beta_s, beta_a and p of one path in
+    np.longdouble, each integrand written out as the closed forms state
+    it rather than through the kernel's shared ratio rows."""
+    ld = np.longdouble
+    s, e, ia, is_, r = (np.asarray(x, dtype=ld) for x in _columns(path))
+    dt = ld(path.dt)
+    mu, gamma, kappa, alpha_a, alpha_s = (ld(getattr(params, name)) for name
+                                          in ("mu", "gamma", "kappa",
+                                              "alpha_a", "alpha_s"))
+    oms = 1 - s
+    sigma = np.sqrt(np.mean([np.sum(np.diff(x) ** 2) / (np.sum(x[:-1] ** 2)
+                                                        * dt)
+                             for x in (oms, e, ia, is_, r)]))
+    hv = sigma**2 / 2
+    s_, e_, oms_, r_ = s[:-1], e[:-1], oms[:-1], r[:-1]
+    weight = s_**2 / oms_**2 + s_**2 / e_**2
+    j_s = np.sum(weight * is_[:-1] ** 2) * dt
+    j_a = np.sum(weight * ia[:-1] ** 2) * dt
+    j_sa = np.sum(weight * ia[:-1] * is_[:-1]) * dt
+    j_2 = np.sum(kappa**2 * e_**2 / is_[:-1] ** 2
+                 + kappa**2 * e_**2 / ia[:-1] ** 2) * dt
+
+    def a_functional(istar):
+        f = s_ * istar[:-1] / oms_
+        g = s_ * istar[:-1] / e_
+        return (np.sum(f * np.diff(np.log(oms)))
+                + np.sum(f * (mu + gamma * r_ / oms_ + hv)) * dt
+                + np.sum(g * np.diff(np.log(e)))
+                + np.sum(g * (mu + hv + kappa)) * dt)
+
+    a_s, a_a = a_functional(is_), a_functional(ia)
+    det = j_s * j_a - j_sa**2
+    a_rate, c_rate = e_ / is_[:-1], e_ / ia[:-1]
+    p = (np.sum(kappa**2 * a_rate**2) * dt
+         - kappa * np.sum(a_rate * np.diff(np.log(is_)))
+         + kappa * np.sum(c_rate * np.diff(np.log(ia)))
+         - np.sum(kappa * (alpha_s + mu + hv) * a_rate) * dt
+         + np.sum(kappa * (alpha_a + mu + hv) * c_rate) * dt) / j_2
+    return {"sigma": sigma, "j_s": j_s, "j_a": j_a, "j_sa": j_sa,
+            "j_2": j_2, "beta_s": (j_a * a_s - j_sa * a_a) / det,
+            "beta_a": (j_s * a_a - j_sa * a_s) / det, "p": p}
+
+
+class TestKernelPrecision:
+    # bounds fixed before the first run: the J's and sigma are sums of
+    # positive terms; the betas and p come from signed Ito sums that
+    # nearly cancel, which costs them a few digits
+    BOUNDS = {"sigma": 1e-12, "j_s": 1e-12, "j_a": 1e-12, "j_sa": 1e-12,
+              "j_2": 1e-12, "beta_s": 1e-9, "beta_a": 1e-9, "p": 1e-9}
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps
+                        >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than double here")
+    def test_kernel_matches_long_double(self, params, interior_init):
+        worst = dict.fromkeys(self.BOUNDS, 0.0)
+        for seed in range(24):
+            path = sim(params, interior_init, n_steps=2000, seed=seed)
+            est = _kernel(_columns(path), path.dt, params, None)
+            for name, exact in longdouble_estimates(path, params).items():
+                gap = abs((np.longdouble(getattr(est, name)) - exact)
+                          / exact)
+                worst[name] = max(worst[name], float(gap))
+        print("kernel against long double, worst relative gap over 24 "
+              "paths: " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
+        for name, bound in self.BOUNDS.items():
+            assert worst[name] <= bound, name
 
 
 class TestBatchScalarAgreement:

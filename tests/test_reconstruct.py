@@ -34,6 +34,17 @@ class TestIncidenceSeries:
         with pytest.raises(NegativeCountError):
             IncidenceSeries(("a", "b"), (3, -1), 100)
 
+    @pytest.mark.parametrize("counts", [(2.7, 1), (2, True), (2, 1.0)])
+    def test_rejects_counts_that_are_not_integers(self, counts):
+        # int() would read these as 2 and 1
+        with pytest.raises(ValueError, match="a count must be an integer"):
+            IncidenceSeries(("a", "b"), counts, 10)
+
+    def test_keeps_numpy_integer_counts(self):
+        series = IncidenceSeries(("a", "b"), tuple(np.array([3, 4])), 10)
+        assert series.counts == (3, 4)
+        assert all(type(c) is int for c in series.counts)
+
     def test_rejects_population_below_counts(self):
         with pytest.raises(ValueError):
             IncidenceSeries(("a",), (101,), 100)
