@@ -22,7 +22,8 @@ import numpy as np
 from .errors import (DegenerateDenominatorError, DomainError,
                      LengthMismatchError, MissingIncrementsError,
                      ReplicateError, SingularSystemError)
-from .model import HypothesisWindow, ModelParams, Path, hypothesis_window
+from .model import (HypothesisWindow, ModelParams, Path,
+                    _require_positive_step, hypothesis_window)
 from .reconstruct import (ReconstructConfig, _row_path,
                           reconstruct_replicate_arrays)
 from .simulate import _ELEMENT_BUDGET as _CHUNK_ELEMENTS
@@ -73,8 +74,8 @@ def _columns(path: Path):
 class _Estimates(NamedTuple):
     """Kernel output: scalars for one path, one entry per row for a block."""
 
-    sigma_denominators: np.ndarray  # (..., 5) time integrals of squares
-    sigma_components: np.ndarray    # (..., 5)
+    sigma_denominators: Optional[np.ndarray]  # (..., 5); None if sigma known
+    sigma_components: Optional[np.ndarray]    # (..., 5); None if sigma known
     sigma: np.ndarray
     j_s: np.ndarray
     j_a: np.ndarray
@@ -127,12 +128,12 @@ def _kernel(cols, dt: float, params: ModelParams,
 
     mu, gamma, kappa and the alphas are known from ``params``; a known
     ``sigma`` replaces the quadratic-variation estimate in the A functionals
-    and in p. Every sum is weighted by the rows of ``_j_terms``.
+    and in p, and leaves the quadratic-variation sums and their guard out.
+    Every sum is weighted by the rows of ``_j_terms``.
     """
     s, e, ia, is_, r = cols
-    denoms, comps, sig = _sigma_terms(cols, dt)
-    if sigma is not None:
-        sig = np.full(sig.shape, float(sigma))
+    denoms, comps, sig = (_sigma_terms(cols, dt) if sigma is None else
+                          (None, None, np.full(s.shape[:-1], float(sigma))))
     (j_s, j_a, j_sa, j_2), (u, v, a, c) = _j_terms(cols, dt, params.kappa)
     # j_sa * j_sa, not j_sa**2: on a 0-d value ** calls C pow, on an array
     # numpy squares, and the two can round apart
@@ -177,30 +178,34 @@ def _kernel(cols, dt: float, params: ModelParams,
                       beta_s, beta_a, p_hat, cond)
 
 
-def _require_sigma_denominators(denoms: np.ndarray) -> None:
-    low = denoms < DENOMINATOR_GUARD
-    if np.any(low):
-        i = int(np.argmax(low))
-        raise DegenerateDenominatorError(
-            f"component {i} denominator {float(denoms[i])!r} below guard")
-
-
-def _failures(cols, est: Optional[_Estimates] = None, singular: bool = False,
-              j_2: bool = False) -> dict:
+def _failures(denoms, cols=None, est: Optional[_Estimates] = None,
+              singular: bool = False, j_2: bool = False) -> dict:
     """Row index -> the first guard that row fails.
 
-    In order: 1-S, E, I_a and I_s positive (the error carries the first
-    offending grid index), then on request the normal equations nonsingular
-    and J_2 above its guard. A 1-D path is row 0.
+    In order: each sigma denominator above its guard (``denoms`` is None
+    under a known sigma), then with ``cols`` 1-S, E, I_a and I_s positive
+    (the error carries the first offending grid index), then on request
+    the normal equations of ``est`` nonsingular and its J_2 above its
+    guard. A 1-D path is row 0.
     """
     failures = {}
-    s, e, ia, is_, _ = (np.atleast_2d(c) for c in cols)
-    for name, arr in (("1-S", 1.0 - s), ("E", e), ("I_a", ia), ("I_s", is_)):
-        for i in np.flatnonzero(np.any(arr <= 0.0, axis=-1)):
-            k = int(np.argmax(arr[i] <= 0.0))
-            failures.setdefault(int(i), DomainError(
-                f"{name} must stay positive for this estimator, got "
-                f"{arr[i, k]!r}", index=k))
+    if denoms is not None:
+        denoms = np.atleast_2d(denoms)
+        low = denoms < DENOMINATOR_GUARD
+        for i in np.flatnonzero(np.any(low, axis=-1)):
+            k = int(np.argmax(low[i]))
+            failures[int(i)] = DegenerateDenominatorError(
+                f"component {k} denominator {float(denoms[i, k])!r} below "
+                f"guard")
+    if cols is not None:
+        s, e, ia, is_, _ = (np.atleast_2d(c) for c in cols)
+        for name, arr in (("1-S", 1.0 - s), ("E", e), ("I_a", ia),
+                          ("I_s", is_)):
+            for i in np.flatnonzero(np.any(arr <= 0.0, axis=-1)):
+                k = int(np.argmax(arr[i] <= 0.0))
+                failures.setdefault(int(i), DomainError(
+                    f"{name} must stay positive for this estimator, got "
+                    f"{arr[i, k]!r}", index=k))
     if singular:
         det, jj = np.atleast_1d(est.det), np.atleast_1d(est.j_s * est.j_a)
         for i in np.flatnonzero(det <= SINGULARITY_GUARD * jj):
@@ -238,15 +243,12 @@ def _clamp_p(p: float) -> tuple:
 
 def _path_estimates(path: Path, params: ModelParams, sigma: Optional[float],
                     singular: bool, j_2: bool) -> _Estimates:
-    """The kernel on one path; raises the first guard it fails, the sigma
-    denominators first when sigma is estimated."""
+    """The kernel on one path; raises the first guard it fails."""
     _check_known_sigma(sigma)
     _need_two_points(path)
     cols = _columns(path)
     est = _kernel(cols, path.dt, params, sigma)
-    if sigma is None:
-        _require_sigma_denominators(est.sigma_denominators)
-    _raise_first(_failures(cols, est, singular, j_2))
+    _raise_first(_failures(est.sigma_denominators, cols, est, singular, j_2))
     return est
 
 
@@ -259,7 +261,7 @@ def estimate_sigma(path: Path) -> SigmaEstimate:
     """
     _need_two_points(path)
     denoms, comps, sig = _sigma_terms(_columns(path), path.dt)
-    _require_sigma_denominators(denoms)
+    _raise_first(_failures(denoms))
     return SigmaEstimate(float(sig), comps)
 
 
@@ -302,8 +304,12 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
     path's own Wiener increments unless ``increments`` supplies recovered
     ones (e.g. from the residual diagnostics); the recovered-compartment
     row of the drift difference is identically zero, so only four rows
-    contribute.
+    contribute. sigma and kappa must be positive and finite, and theta and
+    theta0 finite.
     """
+    _need_two_points(path)
+    _require_positive_step("sigma", sigma)
+    _require_positive_step("kappa", kappa)
     if increments is None:
         increments = path.wiener
     if increments is None:
@@ -312,13 +318,13 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
     dw = np.asarray(increments, dtype=float)
     if dw.shape != (len(path) - 1,):
         raise LengthMismatchError("increments must hold one value per step")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    beta_s, beta_a, p = (float(t) for t in theta)
-    beta_s0, beta_a0, p0 = (float(t) for t in theta0)
-    d = np.array([beta_s - beta_s0, beta_a - beta_a0, p - p0])
+    pair = np.array([theta, theta0], dtype=float)
+    if pair.shape != (2, 3) or not np.all(np.isfinite(pair)):
+        raise ValueError(f"theta and theta0 must be finite triples, got "
+                         f"{theta!r} and {theta0!r}")
+    d = pair[0] - pair[1]
     cols = _columns(path)
-    _raise_first(_failures(cols))
+    _raise_first(_failures(None, cols))
     _, _, ia, is_, _ = cols
     (j_s, j_a, j_sa, j_2), (u, v, a, c) = _j_terms(cols, path.dt, kappa)
     m = np.array([[j_s, j_sa, 0.0], [j_sa, j_a, 0.0], [0.0, 0.0, j_2]])
@@ -332,17 +338,23 @@ def estimate_path(path: Path, params: ModelParams,
     """Full single-path report: sigma, both betas, p, J's and the window."""
     window = hypothesis_window(path)
     est = _path_estimates(path, params, sigma, singular=True, j_2=True)
+    return _report(est, window)
+
+
+def _report(est: _Estimates, window: HypothesisWindow, ci=None,
+            n_replicates=None) -> "EstimateReport":
+    """The report of one path's estimates, or of the row means of a block
+    of replicates with their intervals."""
     p = float(est.p)
     p_clamped, p_out_of_range = _clamp_p(p)
     return EstimateReport(
         beta_s=float(est.beta_s), beta_a=float(est.beta_a), p=p,
         p_clamped=p_clamped, p_out_of_range=p_out_of_range,
-        sigma=float(est.sigma),
-        sigma_components=est.sigma_components if sigma is None else None,
+        sigma=float(est.sigma), sigma_components=est.sigma_components,
         j=JFunctionals(float(est.j_s), float(est.j_a), float(est.j_sa),
                        float(est.j_2)),
         condition_number=float(est.condition_number), window=window,
-        ci=None, n_replicates=None)
+        ci=ci, n_replicates=n_replicates)
 
 
 @dataclass(frozen=True)
@@ -383,10 +395,11 @@ def _estimate_replicates(x: np.ndarray, dt: float, params: ModelParams,
     """The kernel over an (n_rep, n, 5) state array, a chunk of rows at a
     time.
 
-    Rows already in ``failures`` are not estimated; a row failing the
-    positivity or singularity guard joins them. Returns the estimates of
-    the kept rows, their indices and all failures. Callers check a known
-    ``sigma`` before producing ``x``.
+    Rows already in ``failures`` are not estimated; a row failing a guard
+    of ``estimate_path`` joins them, with the error that ``estimate_path``
+    raises on that row. Returns the estimates of the kept rows, their
+    indices and all failures. Callers check a known ``sigma`` before
+    producing ``x``.
     """
     n_rep, n, _ = x.shape
     per_chunk = max(1, _CHUNK_ELEMENTS // n)
@@ -396,11 +409,13 @@ def _estimate_replicates(x: np.ndarray, dt: float, params: ModelParams,
         cols = tuple(np.ascontiguousarray(x[lo:lo + per_chunk, :, c])
                      for c in range(5))
         est = _kernel(cols, dt, params, sigma)
-        for i, exc in _failures(cols, est, singular=True).items():
+        for i, exc in _failures(est.sigma_denominators, cols, est,
+                                singular=True, j_2=True).items():
             failures.setdefault(lo + i, exc)
         parts.append(est)
     ok = np.array([i for i in range(n_rep) if i not in failures], dtype=int)
-    est = _Estimates(*(np.concatenate(field)[ok] for field in zip(*parts)))
+    est = _Estimates(*(None if field[0] is None else np.concatenate(field)[ok]
+                       for field in zip(*parts)))
     return est, ok, failures
 
 
@@ -420,25 +435,10 @@ def replicate_estimates(obs_is, cfg: ReconstructConfig, n_rep: int,
     if len(failures) > 0.10 * n_rep or ok.size < 2:
         raise ReplicateError(failures)
 
-    def summary(v):
-        return float(np.mean(v)), {"lo": float(np.percentile(v, 2.5)),
-                                   "hi": float(np.percentile(v, 97.5))}
-
-    bs_mean, bs_ci = summary(est.beta_s)
-    ba_mean, ba_ci = summary(est.beta_a)
-    p_mean, p_ci = summary(est.p)
-    sg_mean, sg_ci = summary(est.sigma)
     window = hypothesis_window(_row_path(x, dw, int(ok[0]), cfg.dt))
-    j_mean = JFunctionals(*(float(np.mean(j))
-                            for j in (est.j_s, est.j_a, est.j_sa, est.j_2)))
-    p_clamped, p_out_of_range = _clamp_p(p_mean)
-    return EstimateReport(
-        beta_s=bs_mean, beta_a=ba_mean, p=p_mean,
-        p_clamped=p_clamped, p_out_of_range=p_out_of_range,
-        sigma=sg_mean,
-        sigma_components=np.mean(est.sigma_components, axis=0),
-        j=j_mean,
-        condition_number=float(np.mean(est.condition_number)),
-        window=window,
-        ci={"beta_s": bs_ci, "beta_a": ba_ci, "p": p_ci, "sigma": sg_ci},
-        n_replicates=int(ok.size))
+    means = _Estimates(*(None if v is None else np.mean(v, axis=0)
+                         for v in est))
+    ci = {name: {"lo": float(np.percentile(getattr(est, name), 2.5)),
+                 "hi": float(np.percentile(getattr(est, name), 97.5))}
+          for name in ("beta_s", "beta_a", "p", "sigma")}
+    return _report(means, window, ci, int(ok.size))

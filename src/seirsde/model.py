@@ -182,10 +182,6 @@ class Path:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self))
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * (len(self) - 1)
-
 
 def r0(params: ModelParams, convention: str = "paper") -> float:
     """Basic reproduction number of the deterministic system.

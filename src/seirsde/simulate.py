@@ -293,7 +293,7 @@ def path_to_csv(path: Path, target) -> None:
 
 def _raise_first_bad_line(body: list, n_fields: int) -> None:
     """Raise ``ParseError`` naming the first malformed line of a path CSV
-    body; the body starts at line 2."""
+    body (from line 2), each line parsed as ``path_from_csv`` parses all."""
     for lineno, line in enumerate(body, start=2):
         if not line:
             continue
@@ -304,9 +304,10 @@ def _raise_first_bad_line(body: list, n_fields: int) -> None:
             raise ParseError("missing dW value before the final row",
                              line=lineno)
         try:
-            list(map(float, fields))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError as exc:  # numpy counts this one line as row 0
+            raise ParseError(str(exc).replace("row 0, ", ""),
+                             line=lineno) from None
 
 
 def path_from_csv(source, require_simplex: bool = True) -> Path:

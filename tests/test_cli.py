@@ -265,6 +265,47 @@ class TestErrorMapping:
                      "--out", str(tmp_path)])
         assert code == EXIT_CODES[ParseError]
 
+    @pytest.mark.parametrize("text,line", [
+        ("", 1), ("day,count\na,1\n", 1), ("date,count\na,1,2\n", 2),
+        ("date,count\na,1\n\nb,x\n", 4)],
+        ids=["empty", "bad-header", "three-fields", "after-blank"])
+    def test_malformed_incidence_names_its_line(self, tmp_path, capsys, text,
+                                                line):
+        series = tmp_path / "cases.csv"
+        series.write_text(text)
+        cfg = write_config(tmp_path, reconstruct={
+            "incidence": str(series), "population_n": 1000})
+        code = main(["reconstruct", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ParseError]
+        assert f"line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config,said", [
+        (None, "needs --config"), ("absent.json", "not found"),
+        ("{", "not valid JSON")], ids=["no-config", "missing-file",
+                                       "invalid-json"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys,
+                                                 config, said):
+        argv = ["simulate", "--seed", "1", "--out", str(tmp_path)]
+        if config == "{":
+            (tmp_path / "bad.json").write_text(config)
+            argv += ["--config", str(tmp_path / "bad.json")]
+        elif config is not None:
+            argv += ["--config", str(tmp_path / config)]
+        assert main(argv) == EXIT_CODES[ConfigError]
+        assert said in capsys.readouterr().err
+
+    def test_unknown_residual_method_is_a_config_error(self, tmp_path,
+                                                       capsys):
+        path_to_csv(simulate_path(SimConfig(BASELINE_PARAMS, INTERIOR_INIT,
+                                            1e-3, 50)),
+                    str(tmp_path / "path.csv"))
+        cfg = write_config(tmp_path, validate={
+            "path_csv": str(tmp_path / "path.csv"), "method": "midpoint"})
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ConfigError]
+        assert "unknown residual method 'midpoint'" in capsys.readouterr().err
+
     def test_missing_config_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["simulate", "--config", cfg, "--seed", "1",
@@ -469,8 +510,11 @@ class TestErrorMapping:
     def test_readme_lists_the_keys_of_each_table(self):
         readme = (FilePath(__file__).resolve().parents[1]
                   / "README.md").read_text()
-        rows = dict(re.findall(r"^\| (.+?) \| (.+) \|$", readme, re.M))
-        del rows["object"]  # the header
+        # the rows of the one table headed "| object | ...", up to the
+        # first line that is not a table row
+        table = re.search(r"^\| object \|.*\n\|---\|---\|\n((?:\|.*\n)+)",
+                          readme, re.M)[1]
+        rows = dict(re.findall(r"^\| (.+?) \| (.+) \|$", table, re.M))
         tables = {
             "top level": cli._PARAMS, "`simulate`": cli._SIMULATE,
             "`reconstruct`": cli._RECONSTRUCT,

@@ -248,7 +248,7 @@ class TestConsistencyStudy:
                 path = Path(0.0, dt, *row_x.T, require_simplex=False)
                 window = hypothesis_window(path)
                 violated.append(not (window.satisfied
-                                     and window.t_end == path.t_end))
+                                     and window.t_end == path.times[-1]))
             assert row.window_violation_rate == np.mean(violated)
 
     @pytest.mark.parametrize("horizons,n_rep", [([0.04, 0.02], 5),

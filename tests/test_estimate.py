@@ -322,6 +322,23 @@ class TestGirsanov:
                                         increments=recovered.raw)
         assert via_residuals == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("change,error", [
+        ({"sigma": math.nan}, ValueError), ({"sigma": math.inf}, ValueError),
+        ({"kappa": math.nan}, ValueError), ({"kappa": 0.0}, ValueError),
+        ({"theta": (math.nan, 0.5, 0.5)}, ValueError),
+        ({"theta0": (0.1, 0.5, math.inf)}, ValueError),
+        ({"path": hand_path(TWO_POINT[:1])}, LengthMismatchError)],
+        ids=["nan-sigma", "infinite-sigma", "nan-kappa", "zero-kappa",
+             "nan-theta", "infinite-theta0", "one-point-path"])
+    def test_rejects_what_the_estimators_reject(self, params, change, error):
+        args = {"path": hand_path(THREE_POINT), "theta": (0.1, 0.5, 0.5),
+                "theta0": (0.1, 0.5, 0.5), "kappa": params.kappa,
+                "sigma": 0.01, "increments": np.zeros(2), **change}
+        if len(args["path"]) == 1:
+            args["increments"] = np.zeros(0)
+        with pytest.raises(error):
+            girsanov_loglik(**args)
+
     def test_missing_increments(self, params):
         path = hand_path(THREE_POINT)
         th = (0.1, 0.5, 0.5)
@@ -405,9 +422,10 @@ class TestKernelPrecision:
 class TestBatchScalarAgreement:
     def test_batch_estimates_match_single_path_functions(self, params,
                                                          interior_init):
-        # enough rows for three chunks, with a domain failure in the first,
-        # a failure handed in by the caller in the second and a singular
-        # system in the third
+        # enough rows for three chunks, with a domain failure and a zero
+        # sigma denominator (R = 0) in the first, a failure handed in by the
+        # caller and a vanishing J_2 (E = 1e-20) in the second and a
+        # singular system in the third
         n_steps, dt = 300, 1e-3
         per_chunk = _CHUNK_ELEMENTS // (n_steps + 1)
         n_rep = 2 * per_chunk + 7
@@ -415,30 +433,46 @@ class TestBatchScalarAgreement:
                                         range(n_rep))
         assert not failures
         domain_row, given_row, singular_row = 3, per_chunk + 1, n_rep - 2
+        zero_r_row, tiny_e_row = 5, per_chunk + 4
         x[domain_row, 17, 3] = 0.0
         x[singular_row, :, 2] = x[singular_row, :, 3]
+        x[zero_r_row, :, 4] = 0.0
+        x[tiny_e_row, :, 1] = 1e-20
         given = PositivityError(5, "e", -1.0)
-        est, ok, failures = _estimate_replicates(x, dt, params, None,
-                                                 {given_row: given})
 
-        assert sorted(failures) == [domain_row, given_row, singular_row]
-        assert isinstance(failures[domain_row], DomainError)
-        assert failures[domain_row].index == 17
-        assert failures[given_row] is given
-        assert isinstance(failures[singular_row], SingularSystemError)
-        assert list(ok) == [i for i in range(n_rep) if i not in failures]
-        for row, kind in ((domain_row, DomainError),
-                          (singular_row, SingularSystemError)):
-            with pytest.raises(kind) as err:
-                estimate_path(Path(0.0, dt, *x[row].T,
-                                   require_simplex=False), params)
-            assert str(err.value) == str(failures[row])
+        def row_path(row):
+            return Path(0.0, dt, *x[row].T, require_simplex=False)
+
+        # a row is kept exactly when estimate_path accepts it, and a
+        # dropped row carries the error estimate_path raises on it
+        for sigma, kinds in (
+                (0.01, {domain_row: DomainError,
+                        tiny_e_row: DegenerateDenominatorError,
+                        singular_row: SingularSystemError}),
+                (None, {domain_row: DomainError,
+                        zero_r_row: DegenerateDenominatorError,
+                        tiny_e_row: DegenerateDenominatorError,
+                        singular_row: SingularSystemError})):
+            est, ok, failures = _estimate_replicates(x, dt, params, sigma,
+                                                     {given_row: given})
+            assert sorted(failures) == sorted([given_row, *kinds])
+            assert failures[given_row] is given
+            assert failures[domain_row].index == 17
+            assert list(ok) == [i for i in range(n_rep) if i not in failures]
+            for row, kind in kinds.items():
+                with pytest.raises(kind) as err:
+                    estimate_path(row_path(row), params, sigma=sigma)
+                assert str(err.value) == str(failures[row])
+            # E's own sigma denominator fails before J_2 when sigma is
+            # estimated
+            assert str(failures[tiny_e_row]).startswith(
+                "J_2 = " if sigma else "component 1 denominator")
 
         for k, i in enumerate(ok):
             alone = _kernel(tuple(x[i].T), dt, params, None)
             for name, batch_value, row_value in zip(est._fields, est, alone):
                 assert np.array_equal(batch_value[k], row_value), (i, name)
-            path = Path(0.0, dt, *x[i].T, require_simplex=False)
+            path = row_path(i)
             sig = estimate_sigma(path)
             betas = estimate_betas(path, params)
             j = estimate_path(path, params).j
@@ -493,6 +527,17 @@ class TestReplicateEstimates:
         assert sorted(payload["ci"]) == ["beta_a", "beta_s", "p", "sigma"]
         for block in payload["ci"].values():
             assert block["lo"] <= block["hi"]
+
+    def test_known_sigma_reports_no_components(self, params, interior_init):
+        # as estimate_path does: nothing was estimated from quadratic
+        # variation, so there are no components to report
+        path = sim(params, interior_init, n_steps=200, seed=21)
+        report = replicate_estimates(path.i_s,
+                                     self.cfg(params, interior_init), 4,
+                                     sigma=0.01)
+        assert report.sigma == 0.01 and report.sigma_components is None
+        assert estimate_path(path, params, sigma=0.01).sigma_components \
+            is None
 
     def test_negative_known_sigma_rejected(self, params, interior_init,
                                            monkeypatch):

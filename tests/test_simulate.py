@@ -172,7 +172,7 @@ class TestSimulatePath:
         total = as_matrix(path).sum(axis=1)
         assert np.abs(total - 1.0).max() <= 1e-10
         w = hypothesis_window(path)
-        assert w.satisfied and w.t_end == pytest.approx(path.t_end)
+        assert w.satisfied and w.t_end == pytest.approx(path.times[-1])
 
     def test_sum_preserved_along_long_paths(self, params, baseline_init):
         for seed in range(20):
@@ -435,8 +435,10 @@ class TestPathCsv:
         assert back.wiener is None
 
     def test_bad_header(self):
-        with pytest.raises(ParseError):
-            path_from_csv(io.StringIO("time,S,E,Ia,Is,R\n"))
+        for text in ("time,S,E,Ia,Is,R\n", ""):  # a wrong header, and none
+            with pytest.raises(ParseError) as err:
+                path_from_csv(io.StringIO(text))
+            assert err.value.line == 1
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
     @pytest.mark.parametrize("rows,line", [
@@ -454,9 +456,13 @@ class TestPathCsv:
           "5.0,0.9,0.05,0.02,0.02,0.01,"], 4),
         ([ROW.format(k=0, w=0.1), "0.1,inf,0.05,0.02,0.02,0.01,0.1",
           ROW.format(k=2, w="")], 3),
+        # Python's float reads 1_0e-2, numpy's parser does not
+        ([ROW.format(k=0, w=0.1), ROW.format(k=1, w=0.1),
+          "0.2,0.9,0.05,0.02,0.02,1_0e-2,0.1", ROW.format(k=3, w="")], 4),
+        ([], 2),
     ], ids=["non-numeric-S", "field-count", "non-numeric-dW",
             "empty-dW-before-final", "after-blank", "off-grid-time",
-            "infinite-S"])
+            "infinite-S", "underscore-R", "header-only"])
     def test_malformed_line_is_named(self, rows, line, eol):
         with pytest.raises(ParseError) as err:
             path_from_csv(io.StringIO(csv_text(rows, eol)))
