@@ -178,17 +178,18 @@ def _kernel(cols, dt: float, params: ModelParams,
                       beta_s, beta_a, p_hat, cond)
 
 
-def _failures(denoms, cols=None, est: Optional[_Estimates] = None,
-              singular: bool = False, j_2: bool = False) -> dict:
+def _failures(cols=None, est: Optional[_Estimates] = None,
+              singular: bool = False, j_2: bool = False, denoms=None) -> dict:
     """Row index -> the first guard that row fails.
 
-    In order: each sigma denominator above its guard (``denoms`` is None
-    under a known sigma), then with ``cols`` 1-S, E, I_a and I_s positive
-    (the error carries the first offending grid index), then on request
-    the normal equations of ``est`` nonsingular and its J_2 above its
-    guard. A 1-D path is row 0.
+    In order: each sigma denominator of ``est`` (else ``denoms``; none
+    under a known sigma) above its guard, then with ``cols`` 1-S, E, I_a
+    and I_s positive (the error carries the first offending grid index),
+    then on request the normal equations of ``est`` nonsingular and its
+    J_2 above its guard. A 1-D path is row 0.
     """
     failures = {}
+    denoms = est.sigma_denominators if est is not None else denoms
     if denoms is not None:
         denoms = np.atleast_2d(denoms)
         low = denoms < DENOMINATOR_GUARD
@@ -248,7 +249,7 @@ def _path_estimates(path: Path, params: ModelParams, sigma: Optional[float],
     _need_two_points(path)
     cols = _columns(path)
     est = _kernel(cols, path.dt, params, sigma)
-    _raise_first(_failures(est.sigma_denominators, cols, est, singular, j_2))
+    _raise_first(_failures(cols, est, singular, j_2))
     return est
 
 
@@ -261,7 +262,7 @@ def estimate_sigma(path: Path) -> SigmaEstimate:
     """
     _need_two_points(path)
     denoms, comps, sig = _sigma_terms(_columns(path), path.dt)
-    _raise_first(_failures(denoms))
+    _raise_first(_failures(denoms=denoms))
     return SigmaEstimate(float(sig), comps)
 
 
@@ -324,7 +325,7 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
                          f"{theta!r} and {theta0!r}")
     d = pair[0] - pair[1]
     cols = _columns(path)
-    _raise_first(_failures(None, cols))
+    _raise_first(_failures(cols))
     _, _, ia, is_, _ = cols
     (j_s, j_a, j_sa, j_2), (u, v, a, c) = _j_terms(cols, path.dt, kappa)
     m = np.array([[j_s, j_sa, 0.0], [j_sa, j_a, 0.0], [0.0, 0.0, j_2]])
@@ -409,8 +410,7 @@ def _estimate_replicates(x: np.ndarray, dt: float, params: ModelParams,
         cols = tuple(np.ascontiguousarray(x[lo:lo + per_chunk, :, c])
                      for c in range(5))
         est = _kernel(cols, dt, params, sigma)
-        for i, exc in _failures(est.sigma_denominators, cols, est,
-                                singular=True, j_2=True).items():
+        for i, exc in _failures(cols, est, singular=True, j_2=True).items():
             failures.setdefault(lo + i, exc)
         parts.append(est)
     ok = np.array([i for i in range(n_rep) if i not in failures], dtype=int)

@@ -305,8 +305,8 @@ def _raise_first_bad_line(body: list, n_fields: int) -> None:
                              line=lineno)
         try:
             np.loadtxt([line], delimiter=",", comments=None)
-        except ValueError as exc:  # numpy counts this one line as row 0
-            raise ParseError(str(exc).replace("row 0, ", ""),
+        except ValueError:
+            raise ParseError(f"could not parse {line!r}",
                              line=lineno) from None
 
 

@@ -462,6 +462,7 @@ class TestBatchScalarAgreement:
             for row, kind in kinds.items():
                 with pytest.raises(kind) as err:
                     estimate_path(row_path(row), params, sigma=sigma)
+                assert type(failures[row]) is type(err.value)
                 assert str(err.value) == str(failures[row])
             # E's own sigma denominator fails before J_2 when sigma is
             # estimated
