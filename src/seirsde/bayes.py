@@ -239,7 +239,10 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
         if math.isfinite(lp):
             ll = loglik(*prop)
             post = ll + lp
-            if post - cur_post >= 0 or math.log(rng.uniform()) < post - cur_post:
+            # -inf, not -inf - -inf = NaN, when both have zero likelihood;
+            # the decision and the draw are the same either way
+            log_ratio = post - cur_post if post > -math.inf else -math.inf
+            if log_ratio >= 0 or math.log(rng.uniform()) < log_ratio:
                 cur, cur_ll, cur_post = prop, ll, post
                 n_accept += 1
         if it >= cfg.burn_in:

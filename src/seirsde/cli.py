@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path as FilePath
 
@@ -44,9 +45,17 @@ _DEFAULT_DT = 1e-3
 # the default of a key that a config object must give
 _REQUIRED = object()
 
+# an incidence count: ASCII digits, optionally after a minus sign
+_COUNT = re.compile(r"-?[0-9]+")
+
 
 def load_incidence(path, population_n: int) -> reconstruct.IncidenceSeries:
-    """Read a date,count CSV into an incidence series."""
+    """Read a date,count CSV into an incidence series.
+
+    A count is ASCII digits, optionally after a minus sign, with no other
+    sign, separator or digit; anything else is a ParseError naming its
+    line, and a negative count a NegativeCountError.
+    """
     dates, counts = [], []
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -63,11 +72,10 @@ def load_incidence(path, population_n: int) -> reconstruct.IncidenceSeries:
             if len(row) != 2:
                 raise errors.ParseError("expected two fields", line=lineno)
             raw = row[1].strip()
-            try:
-                count = int(raw)
-            except ValueError:
+            if not _COUNT.fullmatch(raw):
                 raise errors.ParseError(f"count {raw!r} is not an integer",
-                                        line=lineno) from None
+                                        line=lineno)
+            count = int(raw)
             if count < 0:
                 raise errors.NegativeCountError(
                     f"line {lineno}: negative count {count}")

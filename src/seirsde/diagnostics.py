@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
                      WindowViolatedError, ZeroSigmaError)
 from .estimate import _check_known_sigma, _estimate_replicates
-from .model import (ModelParams, Path, StateVec, _require_positive_step,
-                    _window_ends)
+from .model import (ModelParams, Path, StateVec, _require_count,
+                    _require_positive_step, _window_ends)
 from .simulate import _step_s, _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
@@ -151,13 +151,16 @@ def consistency_study(truth: ModelParams, init: StateVec,
     horizon h uses the stream ``SeedSequence(seed, spawn_key=(h, r))``),
     estimates (beta_s, beta_a, p) on each full path, and reports the median
     absolute error per parameter together with the fraction of replicates
-    whose growth window fails to cover the horizon. A horizon is flagged
-    when that fraction exceeds ``_FLAG_RATE``; if every replicate violates
-    the window the study aborts.
+    whose growth window fails to cover the horizon. A replicate that left
+    [0, 1] counts as violating the window, whatever its frozen row shows.
+    A horizon is flagged when that fraction exceeds ``_FLAG_RATE``; if
+    every replicate violates the window the study aborts. ``n_rep`` is an
+    integer of at least 1.
     """
     horizons = list(horizons)
-    if not horizons or n_rep < 1:
-        raise ValueError("a study needs a horizon and a replicate")
+    if not horizons:
+        raise ValueError("a study needs a horizon")
+    _require_count("n_rep", n_rep, 1)
     if not all(math.isfinite(h) for h in horizons):
         raise ValueError(f"horizons must be finite, got {horizons!r}")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
@@ -174,6 +177,7 @@ def consistency_study(truth: ModelParams, init: StateVec,
         x, _, sim_failures = simulate_batch(truth, init, dt, n_steps, seeds)
         violated = _window_ends(x[:, :, 0], x[:, :, 1], x[:, :, 2],
                                 x[:, :, 3]) != n_steps
+        violated[list(sim_failures)] = True
         rate = float(np.mean(violated))
         if np.all(violated):
             raise WindowViolatedError(

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (DegenerateDenominatorError, DomainError,
                      LengthMismatchError, MissingIncrementsError,
                      ReplicateError, SingularSystemError)
-from .model import (HypothesisWindow, ModelParams, Path,
+from .model import (HypothesisWindow, ModelParams, Path, _require_count,
                     _require_positive_step, hypothesis_window)
 from .reconstruct import (ReconstructConfig, _row_path,
                           reconstruct_replicate_arrays)
@@ -425,9 +425,9 @@ def replicate_estimates(obs_is, cfg: ReconstructConfig, n_rep: int,
 
     Reports replicate means as point values with 2.5/97.5 percentile
     confidence intervals; fails when more than 10% of replicates error.
+    ``n_rep`` is an integer of at least 2.
     """
-    if n_rep < 2:
-        raise ValueError("n_rep must be at least 2")
+    _require_count("n_rep", n_rep, 2)
     _check_known_sigma(sigma)
     x, dw, failures = reconstruct_replicate_arrays(obs_is, cfg, n_rep)
     est, ok, failures = _estimate_replicates(x, cfg.dt, cfg.params, sigma,

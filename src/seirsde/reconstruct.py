@@ -136,14 +136,14 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
     stream ``replicate_seed(cfg.seed, i)``. Positivity of S, E and I_a is
     checked once per time block of ``simulate._run_batch``; failures map
     replicate index to the PositivityError of the first step that left
-    [0, 1], and that row is frozen from its failing step on, its I_s equal
-    to the observations up to that step. With ``resample_initials``, a
-    ``population_n`` too small for the prior's largest pools to fit beside
-    ``init_r`` and the first observation is a ValueError. Storage is
-    time-major, so both arrays are transposed views of it.
+    [0, 1], and that row holds its state before the failing step from then
+    on, its I_s equal to the observations up to that step. ``n_rep`` is an
+    integer of at least 1. With ``resample_initials``, a ``population_n``
+    too small for the prior's largest pools to fit beside ``init_r`` and
+    the first observation is a ValueError. Storage is time-major, so both
+    arrays are transposed views of it.
     """
-    if n_rep < 1:
-        raise ValueError("n_rep must be at least 1")
+    _require_count("n_rep", n_rep, 1)
     obs = _check_obs(obs_is)
     if cfg.resample_initials:
         _check_pools_fit(cfg, obs[0])
@@ -160,8 +160,8 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
     is_ = obs.tolist()
 
     def step(k, prev, w, nxt):
-        # a live row holds is_[k] in prev[3]; a frozen one is reset after
-        # its block whatever it steps to
+        # a live row holds is_[k] in prev[3]; a failed one is set back
+        # after the run whatever it steps to
         s, e, ia, _, r = prev
         nxt[0], nxt[1], nxt[2] = _step_s_e_ia(s, e, ia, is_[k], r, w, dt, pr)
         nxt[3] = is_[k + 1]

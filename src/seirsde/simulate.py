@@ -160,7 +160,7 @@ def simulate_path(cfg: SimConfig,
             x = _step_values(x, w, cfg.dt, cfg.params, milstein)
             cols[:, k + 1] = x
     failures = {}
-    _scan_block(cols[:, :, None], 0, n, 5, np.zeros(1, bool), failures)
+    _scan_block(cols[:, :, None], 0, n, 5, failures)
     if failures:
         raise failures[0]
     return Path(0.0, cfg.dt, cols[0], cols[1], cols[2], cols[3], cols[4],
@@ -178,10 +178,12 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
     and increments (n_rep, n_steps). Positivity is checked once per time
     block of ``_run_batch``, not per step; failures maps replicate index to
     the PositivityError of the first step that left [0, 1], the same one
-    ``simulate_path`` raises, and that row is frozen from its failing step
-    on. Storage is time-major, so both arrays are transposed views of it.
+    ``simulate_path`` raises, and that row holds its state before the
+    failing step from then on. Storage is time-major, so both arrays are
+    transposed views of it. ``seeds`` must hold at least one seed.
     """
     SimConfig(params, init, dt, n_steps, scheme)
+    _require_count("the seed count", len(seeds), 1)
     milstein = scheme == SCHEME_MILSTEIN
 
     def step(k, prev, w, nxt):
@@ -202,13 +204,12 @@ def _run_batch(init, rngs, n_steps, dt, step, n_check):
     writes the next state into the replicate rows ``nxt`` in place. Steps
     run in blocks of ``_ELEMENT_BUDGET // n_rep`` (at least one) with no
     check inside; each block is then scanned once. A replicate whose first
-    ``n_check`` coordinates left [0, 1] (NaN included) at step k is frozen
-    at its state before that step for the rest of the run, and the
-    PositivityError of its first offending component at step k goes into
-    failures. A frozen row still steps, unchecked, to the end of each block
-    and is set back after it; replicates never mix, so a live row does the
-    same float operations as it would alone. Returns ``(states,
-    increments, failures)``, the arrays as replicate-major views.
+    ``n_check`` coordinates left [0, 1] (NaN included) at step k gets the
+    PositivityError of its first offending component at step k in
+    failures, and after the run is frozen at its state before that step.
+    Replicates never mix, so each row does the same float operations as it
+    would alone. Returns ``(states, increments, failures)``, the arrays as
+    replicate-major views.
     """
     n_rep = len(rngs)
     dw = np.empty((n_steps, n_rep))
@@ -217,35 +218,31 @@ def _run_batch(init, rngs, n_steps, dt, step, n_check):
     dw *= np.sqrt(dt)
     x = np.empty((5, n_steps + 1, n_rep))
     x[:, 0] = init
-    dead = np.zeros(n_rep, dtype=bool)
     failures = {}
     block = max(1, _ELEMENT_BUDGET // n_rep)
-    # frozen rows may overflow or turn NaN inside a block; live rows cannot
+    # a failed row may overflow or turn NaN after its failing step
     with np.errstate(all="ignore"):
         for lo in range(0, n_steps, block):
             hi = min(lo + block, n_steps)
             for k in range(lo, hi):
                 step(k, x[:, k], dw[k], x[:, k + 1])
-            _scan_block(x, lo, hi, n_check, dead, failures)
+            _scan_block(x, lo, hi, n_check, failures)
+    for i, err in failures.items():
+        x[:, err.step + 1:, i] = x[:, err.step:err.step + 1, i]
     return x.transpose(2, 1, 0), dw.T, failures
 
 
-def _scan_block(x, lo, hi, n_check, dead, failures):
-    """Scan the states that steps lo..hi-1 wrote, record the first failure
-    of each live row in ``failures`` and mark it in ``dead``, and hold every
-    dead row at its frozen state through step hi."""
+def _scan_block(x, lo, hi, n_check, failures):
+    """Add to ``failures`` the first exit from [0, 1] in steps lo..hi-1 of
+    each row not in it yet; ``x`` is only read."""
     head = x[:n_check, lo + 1:hi + 1]  # (n_check, hi - lo, n_rep)
     ok = (head >= 0.0) & (head <= 1.0)
-    old = np.flatnonzero(dead)
-    if old.size:
-        x[:, lo + 1:hi + 1, old] = x[:, lo:lo + 1, old]
-    for i in np.flatnonzero(~dead & ~ok.all(axis=(0, 1))):
-        k = lo + int(np.argmin(ok[:, :, i].all(axis=0)))
-        comp = int(np.argmin(ok[:, k - lo, i]))
-        failures[int(i)] = PositivityError(k, _COMPONENTS[comp],
-                                           float(x[comp, k + 1, i]))
-        x[:, k + 1:hi + 1, i] = x[:, k:k + 1, i]
-        dead[i] = True
+    for i in np.flatnonzero(~ok.all(axis=(0, 1))).tolist():
+        if i not in failures:
+            k = lo + int(np.argmin(ok[:, :, i].all(axis=0)))
+            comp = int(np.argmin(ok[:, k - lo, i]))
+            failures[i] = PositivityError(k, _COMPONENTS[comp],
+                                          float(x[comp, k + 1, i]))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,19 @@ class TestMetropolis:
         assert abs(np.median(res.p) - params.p) / params.p < 0.10
         assert abs(np.median(res.kappa) - params.kappa) / params.kappa < 0.10
 
+    def test_zero_likelihood_everywhere_never_moves(self, params):
+        # E = 0 leaves the day-1 mean at 0 against a positive count, so the
+        # start and every proposal have zero likelihood; comparing two
+        # -inf posteriors must not warn (warnings are errors here)
+        init = StateVec(0.97, 0.0, 0.01, 0.01, 0.01)
+        cfg = McmcConfig(iterations=50, burn_in=0, proposal_sd=(0.05, 0.02),
+                         seed=4)
+        res = metropolis(make_series([5, 8, 12]), PriorSpec(), params, init,
+                         cfg)
+        assert res.acceptance_rate == 0.0
+        assert np.all(res.loglik == -math.inf)
+        assert np.all(res.p == PriorSpec().p_mean)
+
     def test_accept_probability_detailed_balance(self):
         # two-state toy chain driven by the same acceptance rule
         target = np.array([0.3, 0.7])

@@ -267,8 +267,10 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("text,line", [
         ("", 1), ("day,count\na,1\n", 1), ("date,count\na,1,2\n", 2),
-        ("date,count\na,1\n\nb,x\n", 4)],
-        ids=["empty", "bad-header", "three-fields", "after-blank"])
+        ("date,count\na,1\n\nb,x\n", 4), ("date,count\na,1\nb,1_0\n", 3),
+        ("date,count\na,+12\n", 2), ("date,count\na,1\nb,\u0663\n", 3)],
+        ids=["empty", "bad-header", "three-fields", "after-blank",
+             "underscore", "plus-sign", "arabic-indic-digit"])
     def test_malformed_incidence_names_its_line(self, tmp_path, capsys, text,
                                                 line):
         series = tmp_path / "cases.csv"

@@ -11,6 +11,7 @@ from seirsde import (BASELINE_PARAMS, DegenerateSampleError, DomainError,
                      normality_test, qq_points, residual_increments,
                      simulate_path)
 from seirsde.diagnostics import consistency_to_csv, qq_to_csv
+from seirsde.model import _window_ends
 from seirsde.simulate import simulate_batch
 
 from conftest import INTERIOR_INIT
@@ -219,6 +220,24 @@ class TestConsistencyStudy:
             consistency_study(dying, interior_init, [0.04], 5, dt=1e-3,
                               seed=0, sigma=0.01)
 
+    def test_failed_replicates_violate_the_window(self, params,
+                                                  interior_init):
+        # at sigma = 8, 38 of 400 replicates leave [0, 1]; some of their
+        # frozen rows keep the window, and every surviving row breaks it
+        loud = params.replaced(sigma=8.0)
+        seeds = [np.random.SeedSequence(5, spawn_key=(0, i))
+                 for i in range(400)]
+        x, _, failures = simulate_batch(loud, interior_init, 1e-3, 100,
+                                        seeds)
+        kept = _window_ends(x[:, :, 0], x[:, :, 1], x[:, :, 2],
+                            x[:, :, 3]) == 100
+        assert len(failures) == 38
+        assert kept.any() and set(np.flatnonzero(kept).tolist()) <= set(
+            failures)
+        with pytest.raises(WindowViolatedError):
+            consistency_study(loud, interior_init, [0.1], 400, dt=1e-3,
+                              seed=5)
+
     def test_negative_known_sigma_rejected(self, params, interior_init,
                                            monkeypatch):
         def simulate_nothing(*args, **kwargs):
@@ -252,8 +271,10 @@ class TestConsistencyStudy:
             assert row.window_violation_rate == np.mean(violated)
 
     @pytest.mark.parametrize("horizons,n_rep", [([0.04, 0.02], 5),
-                                                ([], 5), ([0.02], 0)],
-                             ids=["decreasing", "no-horizon", "no-replicate"])
+                                                ([], 5), ([0.02], 0),
+                                                ([0.001], 5)],
+                             ids=["decreasing", "no-horizon", "no-replicate",
+                                  "one-step-horizon"])
     def test_horizons_must_increase(self, params, interior_init, horizons,
                                     n_rep):
         with pytest.raises(ValueError):

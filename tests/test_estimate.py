@@ -327,9 +327,11 @@ class TestGirsanov:
         ({"kappa": math.nan}, ValueError), ({"kappa": 0.0}, ValueError),
         ({"theta": (math.nan, 0.5, 0.5)}, ValueError),
         ({"theta0": (0.1, 0.5, math.inf)}, ValueError),
-        ({"path": hand_path(TWO_POINT[:1])}, LengthMismatchError)],
+        ({"path": hand_path(TWO_POINT[:1])}, LengthMismatchError),
+        ({"increments": np.zeros(1)}, LengthMismatchError)],
         ids=["nan-sigma", "infinite-sigma", "nan-kappa", "zero-kappa",
-             "nan-theta", "infinite-theta0", "one-point-path"])
+             "nan-theta", "infinite-theta0", "one-point-path",
+             "short-increments"])
     def test_rejects_what_the_estimators_reject(self, params, change, error):
         args = {"path": hand_path(THREE_POINT), "theta": (0.1, 0.5, 0.5),
                 "theta0": (0.1, 0.5, 0.5), "kappa": params.kappa,

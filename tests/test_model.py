@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from seirsde import (BASELINE_PARAMS, DomainError, McmcConfig, Path,
-                     PriorSpec, ReconstructConfig, SimConfig, SimplexError,
-                     StateVec, ZeroSigmaError, consistency_study,
-                     draw_increments, estimate_path, hypothesis_window,
-                     ode_rk4, r0, simulate_path)
+from seirsde import (BASELINE_PARAMS, DomainError, HypothesisWindow,
+                     IncidenceSeries, JFunctionals, LengthMismatchError,
+                     McmcConfig, Path, PriorSpec, ReconstructConfig,
+                     SimConfig, SimplexError, StateVec, TooFewPointsError,
+                     ZeroSigmaError, consistency_study, draw_increments,
+                     estimate_path, hypothesis_window, ode_rk4, r0,
+                     replicate_estimates, residual_increments, simulate_path)
 from seirsde.model import _window_ends
+from seirsde.reconstruct import reconstruct_replicate_arrays
 
 from conftest import (deterministic_drift, lamperti_drift, one_step,
                       sde_drift, stochastic_diffusion)
@@ -83,10 +86,66 @@ _INIT = StateVec(0.9, 0.05, 0.02, 0.02, 0.01)
     lambda: ode_rk4(BASELINE_PARAMS, _INIT, 1.0, 4.5),
     lambda: McmcConfig(10.5, 0, (0.02, 0.01)),
     lambda: McmcConfig(10, 0.5, (0.02, 0.01)),
+    lambda: reconstruct_replicate_arrays([0.02, 0.021], _REC, 2.5),
+    lambda: reconstruct_replicate_arrays([0.02, 0.021], _REC, True),
+    lambda: replicate_estimates([0.02, 0.021], _REC, 2.5),
+    lambda: replicate_estimates([0.02, 0.021], _REC, True),
+    lambda: consistency_study(BASELINE_PARAMS, _INIT, [0.02], n_rep=2.5,
+                              dt=1e-3, seed=0),
+    lambda: consistency_study(BASELINE_PARAMS, _INIT, [0.02], n_rep=True,
+                              dt=1e-3, seed=0),
 ], ids=["simconfig-fraction", "simconfig-bool", "draw_increments",
-        "ode_rk4", "mcmcconfig-iterations", "mcmcconfig-burn_in"])
+        "ode_rk4", "mcmcconfig-iterations", "mcmcconfig-burn_in",
+        "reconstruct-n_rep-fraction", "reconstruct-n_rep-bool",
+        "replicate_estimates-n_rep-fraction",
+        "replicate_estimates-n_rep-bool",
+        "consistency_study-n_rep-fraction", "consistency_study-n_rep-bool"])
 def test_non_integral_counts_rejected(build):
     with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+_REC = ReconstructConfig(BASELINE_PARAMS, init_e=0.05, init_ia=0.02,
+                         init_r=0.01, dt=1e-3)
+_ONE_POINT = ([0.9], [0.05], [0.02], [0.02], [0.01])
+
+
+@pytest.mark.parametrize("build,error,said", [
+    (lambda: BASELINE_PARAMS.replaced(beta_a=-0.1), ValueError,
+     "beta_a must be nonnegative"),
+    (lambda: HypothesisWindow(1.0, 0.0, False), ValueError,
+     "t_start must not exceed t_end"),
+    (lambda: Path(0.0, 0.1, [], [], [], [], []), ValueError,
+     "at least one grid point"),
+    (lambda: Path(0.0, 0.1, *_ONE_POINT, wiener=[0.0]), ValueError,
+     "wiener has shape"),
+    (lambda: Path(0.0, 0.1, [0.9], [0.1], [0.1], [0.0], [0.0]),
+     SimplexError, "exceeds"),
+    (lambda: PriorSpec(kappa_rate=0.0), ValueError, "positive shape"),
+    (lambda: McmcConfig(10, 10, (0.02, 0.01)), ValueError,
+     "burn_in < iterations"),
+    (lambda: JFunctionals(-1.0, 1.0, 0.0, 1.0), ValueError,
+     "j_s must be nonnegative"),
+    (lambda: JFunctionals(1.0, 1.0, 2.0, 1.0), ValueError,
+     "j_sa\\^2 exceeds"),
+    (lambda: IncidenceSeries(("a",), (1, 2), 10), LengthMismatchError,
+     "differ in length"),
+    (lambda: ReconstructConfig(BASELINE_PARAMS, init_e=1.0, init_ia=0.0,
+                               init_r=0.0, dt=1e-3), ValueError,
+     "init_e must lie in"),
+    (lambda: simulate_path(SimConfig(BASELINE_PARAMS, _INIT, 1e-3, 3),
+                           increments=np.zeros(2)), ValueError,
+     "increment count"),
+    (lambda: residual_increments(Path(0.0, 0.1, *_ONE_POINT),
+                                 BASELINE_PARAMS), TooFewPointsError,
+     "two grid points"),
+], ids=["params-beta_a", "window-order", "path-empty", "path-wiener-shape",
+        "path-off-simplex", "priorspec-kappa_rate", "mcmcconfig-burn_in",
+        "jfunctionals-negative", "jfunctionals-cauchy-schwarz",
+        "incidence-lengths", "reconstructconfig-init_e",
+        "simulate_path-increments", "residuals-one-point"])
+def test_out_of_range_values_rejected(build, error, said):
+    with pytest.raises(error, match=said):
         build()
 
 

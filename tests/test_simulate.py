@@ -323,9 +323,9 @@ class TestBatchEngine:
 
     @pytest.mark.parametrize("bad", [{"scheme": "milstien"},
                                      {"dt": -1e-3}, {"dt": 0.0},
-                                     {"n_steps": -1}],
+                                     {"n_steps": -1}, {"seeds": []}],
                              ids=["scheme", "negative-dt", "zero-dt",
-                                  "negative-n_steps"])
+                                  "negative-n_steps", "no-seeds"])
     def test_rejects_bad_arguments(self, params, interior_init, bad):
         args = {"dt": 1e-3, "n_steps": 10, "seeds": range(3), **bad}
         with pytest.raises(ValueError):
@@ -460,9 +460,12 @@ class TestPathCsv:
         ([ROW.format(k=0, w=0.1), ROW.format(k=1, w=0.1),
           "0.2,0.9,0.05,0.02,0.02,1_0e-2,0.1", ROW.format(k=3, w="")], 4),
         ([], 2),
+        # numpy reads these rows, six fields each, without a complaint
+        (["0.0,0.9,0.05,0.02,0.02,0.01", "0.1,0.9,0.05,0.02,0.02,0.01"], 2),
     ], ids=["non-numeric-S", "field-count", "non-numeric-dW",
             "empty-dW-before-final", "after-blank", "off-grid-time",
-            "infinite-S", "underscore-R", "header-only"])
+            "infinite-S", "underscore-R", "header-only",
+            "field-count-every-row"])
     def test_malformed_line_is_named(self, rows, line, eol):
         with pytest.raises(ParseError) as err:
             path_from_csv(io.StringIO(csv_text(rows, eol)))
