@@ -54,10 +54,11 @@ def load_incidence(path, population_n: int) -> reconstruct.IncidenceSeries:
 
     A count is ASCII digits, optionally after a minus sign, with no other
     sign, separator or digit; anything else is a ParseError naming its
-    line, and a negative count a NegativeCountError.
+    line, and a negative count a NegativeCountError. A leading UTF-8
+    byte-order mark is skipped.
     """
     dates, counts = [], []
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -291,6 +291,25 @@ def estimate_p(path: Path, params: ModelParams,
     return PEstimate(value, *_clamp_p(value))
 
 
+def _girsanov_terms(path: Path, kappa: float) -> tuple:
+    """M and the rows I_s, I_a, u + v and a - c of ``girsanov_loglik``:
+    what it needs of the path alone. Memoised on the path per kappa, with
+    the positivity guards' pass; a path that fails them is checked again
+    on every call."""
+    derived, key = path._derived, ("girsanov", float(kappa))
+    terms = derived.get(key)
+    if terms is None:
+        cols = _columns(path)
+        if "positive" not in derived:
+            _raise_first(_failures(cols))
+            derived["positive"] = True
+        _, _, ia, is_, _ = cols
+        (j_s, j_a, j_sa, j_2), (u, v, a, c) = _j_terms(cols, path.dt, kappa)
+        m = np.array([[j_s, j_sa, 0.0], [j_sa, j_a, 0.0], [0.0, 0.0, j_2]])
+        terms = derived[key] = (m, is_[:-1], ia[:-1], u + v, a - c)
+    return terms
+
+
 def girsanov_loglik(path: Path, theta: Sequence[float],
                     theta0: Sequence[float], kappa: float, sigma: float,
                     increments=None) -> float:
@@ -305,8 +324,10 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
     path's own Wiener increments unless ``increments`` supplies recovered
     ones (e.g. from the residual diagnostics); the recovered-compartment
     row of the drift difference is identically zero, so only four rows
-    contribute. sigma and kappa must be positive and finite, and theta and
-    theta0 finite.
+    contribute. sigma and kappa must be positive and finite, theta and
+    theta0 finite, and the increments finite. The guards, M and the rows
+    that weight the increments are formed once per path and kappa, so a
+    grid of calls on one path pays only for b and the quadratic form.
     """
     _need_two_points(path)
     _require_positive_step("sigma", sigma)
@@ -319,18 +340,16 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
     dw = np.asarray(increments, dtype=float)
     if dw.shape != (len(path) - 1,):
         raise LengthMismatchError("increments must hold one value per step")
+    if not np.all(np.isfinite(dw)):
+        raise ValueError("increments must be finite")
     pair = np.array([theta, theta0], dtype=float)
     if pair.shape != (2, 3) or not np.all(np.isfinite(pair)):
         raise ValueError(f"theta and theta0 must be finite triples, got "
                          f"{theta!r} and {theta0!r}")
     d = pair[0] - pair[1]
-    cols = _columns(path)
-    _raise_first(_failures(cols))
-    _, _, ia, is_, _ = cols
-    (j_s, j_a, j_sa, j_2), (u, v, a, c) = _j_terms(cols, path.dt, kappa)
-    m = np.array([[j_s, j_sa, 0.0], [j_sa, j_a, 0.0], [0.0, 0.0, j_2]])
-    w = (u + v) * dw
-    b = np.array([-is_[:-1] @ w, -ia[:-1] @ w, kappa * ((a - c) @ dw)])
+    m, is_, ia, uv, ac = _girsanov_terms(path, kappa)
+    w = uv * dw
+    b = np.array([-is_ @ w, -ia @ w, kappa * (ac @ dw)])
     return float(d @ b / sigma - 0.5 * (d @ m @ d) / (sigma * sigma))
 
 

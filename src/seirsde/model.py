@@ -10,7 +10,7 @@ increments and the fractions always sum to one.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -137,7 +137,9 @@ class Path:
     Arrays are one value per grid point; ``wiener`` holds the generating
     increments (one per step) when the path came from the simulator.
     Arrays are made read-only so paths can be shared freely between
-    threads.
+    threads. Values derived from them alone, such as the likelihood
+    ratio's sums, are memoised on the path, so its arrays must not be made
+    writable and changed after construction.
     """
 
     t0: float
@@ -149,6 +151,9 @@ class Path:
     r: np.ndarray
     wiener: Optional[np.ndarray] = None
     require_simplex: InitVar[bool] = True
+    # values derived from the read-only arrays above; freed with the path
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self, require_simplex):
         _require_positive_step("dt", self.dt)

@@ -257,9 +257,11 @@ _GRID_TOL = 1e-6
 
 
 def _opened(target, mode):
-    """``target`` itself if it is a file object, else the file it names."""
+    """``target`` itself if it is a file object, else the file it names;
+    a named file is read past a leading UTF-8 byte-order mark."""
     if isinstance(target, (str, bytes)):
-        return open(target, mode, newline="")
+        return open(target, mode, newline="",
+                    encoding="utf-8-sig" if mode == "r" else None)
     return contextlib.nullcontext(target)
 
 

@@ -45,6 +45,14 @@ class TestLoadIncidence:
         assert series.counts == (74, 80)
         assert series.dates[0] == "2020-03-10"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = b"date,count\r\n2020-03-10,74\r\n2020-03-11,80\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert (load_incidence(str(marked), 1000)
+                == load_incidence(str(plain), 1000))
+
     def test_empty_data_section(self, tmp_path):
         f = tmp_path / "cases.csv"
         f.write_text("date,count\n")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from seirsde import (DegenerateDenominatorError, DomainError,
                      SingularSystemError, estimate_betas, estimate_p,
                      estimate_path, estimate_sigma, girsanov_loglik,
                      replicate_estimates, simulate_path)
+from seirsde import estimate
 from seirsde.estimate import (_CHUNK_ELEMENTS, _columns, _estimate_replicates,
                               _j_terms, _kernel)
 from seirsde.simulate import simulate_batch
@@ -20,6 +23,13 @@ from conftest import (closed_form_betas, ito_log_integral, left_riemann,
 def sim(params, init, n_steps=47, seed=0, dt=1e-3, **kw):
     return simulate_path(SimConfig(params=params, init=init, dt=dt,
                                    n_steps=n_steps, seed=seed, **kw))
+
+
+def fresh(path):
+    """A new Path on the same arrays, so nothing derived from them is
+    shared with ``path``."""
+    return Path(path.t0, path.dt, path.s, path.e, path.i_a, path.i_s,
+                path.r, wiener=path.wiener)
 
 
 def hand_path(rows, dt=0.5):
@@ -328,10 +338,12 @@ class TestGirsanov:
         ({"theta": (math.nan, 0.5, 0.5)}, ValueError),
         ({"theta0": (0.1, 0.5, math.inf)}, ValueError),
         ({"path": hand_path(TWO_POINT[:1])}, LengthMismatchError),
-        ({"increments": np.zeros(1)}, LengthMismatchError)],
+        ({"increments": np.zeros(1)}, LengthMismatchError),
+        ({"increments": np.array([0.0, math.nan])}, ValueError),
+        ({"increments": np.array([math.inf, 0.0])}, ValueError)],
         ids=["nan-sigma", "infinite-sigma", "nan-kappa", "zero-kappa",
              "nan-theta", "infinite-theta0", "one-point-path",
-             "short-increments"])
+             "short-increments", "nan-increments", "inf-increments"])
     def test_rejects_what_the_estimators_reject(self, params, change, error):
         args = {"path": hand_path(THREE_POINT), "theta": (0.1, 0.5, 0.5),
                 "theta0": (0.1, 0.5, 0.5), "kappa": params.kappa,
@@ -350,6 +362,86 @@ class TestGirsanov:
         val = girsanov_loglik(path, th, th, params.kappa, 0.01,
                               increments=np.zeros(2))
         assert val == 0.0
+
+    def test_path_only_terms_formed_once(self, params, interior_init,
+                                         monkeypatch):
+        # a 125-point grid on one path forms the guards and the J sums once,
+        # and gives the bits of single calls on fresh paths
+        path = sim(params, interior_init, n_steps=400, seed=3)
+        th0 = np.array([params.beta_s, params.beta_a, params.p])
+        thetas = [th0 + 0.01 * np.array([i, j, k]) for i in range(-2, 3)
+                  for j in range(-2, 3) for k in range(-2, 3)]
+        single = [girsanov_loglik(fresh(path), th, th0, params.kappa, 0.01)
+                  for th in thetas]
+        calls = {"_j_terms": 0, "_failures": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(estimate, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(estimate, name, counted)
+        grid = [girsanov_loglik(path, th, th0, params.kappa, 0.01)
+                for th in thetas]
+        assert calls == {"_j_terms": 1, "_failures": 1}
+        assert [v.hex() for v in grid] == [v.hex() for v in single]
+
+    def test_second_kappa_forms_its_own_terms(self, params, interior_init,
+                                              monkeypatch):
+        path = sim(params, interior_init, n_steps=400, seed=3)
+        th0 = (params.beta_s, params.beta_a, params.p)
+        th = (params.beta_s + 0.01, params.beta_a - 0.02, params.p + 0.03)
+        first = girsanov_loglik(path, th, th0, params.kappa, 0.01)
+        calls = []
+
+        def counted(cols, dt, kappa):
+            calls.append(kappa)
+            return _j_terms(cols, dt, kappa)
+
+        monkeypatch.setattr(estimate, "_j_terms", counted)
+        other = girsanov_loglik(path, th, th0, 2 * params.kappa, 0.01)
+        again = girsanov_loglik(path, th, th0, params.kappa, 0.01)
+        assert calls == [2 * params.kappa]
+        assert other != first and again.hex() == first.hex()
+        monkeypatch.undo()
+        assert other.hex() == girsanov_loglik(fresh(path), th, th0,
+                                              2 * params.kappa, 0.01).hex()
+
+    def test_supplied_increments_honoured_in_either_order(self, params,
+                                                          interior_init):
+        path = sim(params, interior_init, n_steps=400, seed=3)
+        dw = (np.random.default_rng(5).standard_normal(len(path) - 1)
+              * math.sqrt(path.dt))
+        th0 = (params.beta_s, params.beta_a, params.p)
+        th = (params.beta_s + 0.01, params.beta_a - 0.02, params.p + 0.03)
+
+        def ratio(p, increments):
+            return girsanov_loglik(p, th, th0, params.kappa, 0.01,
+                                   increments=increments).hex()
+
+        own, supplied = ratio(fresh(path), None), ratio(fresh(path), dw)
+        assert own != supplied
+        shared = fresh(path)
+        assert [ratio(shared, None), ratio(shared, dw)] == [own, supplied]
+        shared = fresh(path)
+        assert [ratio(shared, dw), ratio(shared, None)] == [supplied, own]
+
+    def test_failing_path_raises_on_every_call(self, params):
+        rows = THREE_POINT[:1] + [(0.86, 0.0, 0.035, 0.022, 0.083)]
+        path = hand_path(rows + THREE_POINT[2:])
+        th = (0.1, 0.5, 0.5)
+        for kappa in (params.kappa, params.kappa, 2 * params.kappa):
+            with pytest.raises(DomainError) as err:
+                girsanov_loglik(path, th, th, kappa, 0.01,
+                                increments=np.zeros(2))
+            assert err.value.index == 1
+
+    def test_memo_is_freed_with_its_path(self, params, interior_init):
+        path = sim(params, interior_init, seed=3)
+        th = (params.beta_s, params.beta_a, params.p)
+        girsanov_loglik(path, th, th, params.kappa, 0.01)
+        ref = weakref.ref(path)
+        del path
+        gc.collect()
+        assert ref() is None
 
 
 def longdouble_estimates(path, params):

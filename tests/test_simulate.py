@@ -434,6 +434,19 @@ class TestPathCsv:
         assert np.array_equal(as_matrix(back), as_matrix(path))
         assert back.wiener is None
 
+    def test_byte_order_mark_is_skipped(self, params, baseline_init,
+                                        tmp_path):
+        # spreadsheet programs often start a UTF-8 file with a BOM
+        path = simulate_path(cfg_for(params, baseline_init, seed=17))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        path_to_csv(path, str(plain))
+        assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = path_from_csv(str(plain)), path_from_csv(str(marked))
+        assert (a.t0, a.dt) == (b.t0, b.dt)
+        assert bits(as_matrix(a)) == bits(as_matrix(b))
+        assert bits(a.wiener) == bits(b.wiener)
+
     def test_bad_header(self):
         for text in ("time,S,E,Ia,Is,R\n", ""):  # a wrong header, and none
             with pytest.raises(ParseError) as err:
