@@ -137,8 +137,11 @@ def ode_rk4(params: ModelParams, init: StateVec, dt: float,
     return Path(0.0, dt, *arr.T, require_simplex=False)
 
 
-def _running_sums(rate: float, e) -> list:
-    """Left-rectangle running sum of rate * e after each step."""
+def _running_sums(p: float, kappa: float, population_n: float, dt: float,
+                  e) -> list:
+    """Expected cumulative symptomatic counts after each step: the
+    left-rectangle running sum of the incidence (1 - p) kappa N dt e."""
+    rate = (1.0 - p) * kappa * population_n * dt
     lam, sums = 0.0, []
     for e_j in e[:-1]:
         lam += rate * e_j
@@ -153,8 +156,9 @@ def cumulative_incidence(path: Path, params: ModelParams,
     Left-rectangle integral of (1 - p) kappa E scaled back to counts;
     nondecreasing, zero at the first point.
     """
-    rate = (1.0 - params.p) * params.kappa * population_n * path.dt
-    return np.array([0.0] + _running_sums(rate, path.e.tolist()))
+    sums = _running_sums(params.p, params.kappa, population_n, path.dt,
+                         path.e.tolist())
+    return np.array([0.0] + sums)
 
 
 def _log_factorials(counts) -> list:
@@ -220,8 +224,8 @@ def metropolis(series: Optional[IncidenceSeries], priors: PriorSpec,
         p_, kappa_ = float(p_), float(kappa_)
         # one step a day
         states = _ode_core(fixed, p_, kappa_, init5, 1.0, n_days)
-        rate = (1.0 - p_) * kappa_ * series.population_n
-        lam = _running_sums(rate, [x[1] for x in states])
+        lam = _running_sums(p_, kappa_, series.population_n, 1.0,
+                            [x[1] for x in states])
         try:
             return _poisson_sum(y_days, lam, log_fact)
         except DomainError:  # a zero mean under a positive count

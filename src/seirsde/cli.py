@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -52,36 +53,36 @@ _COUNT = re.compile(r"-?[0-9]+")
 def load_incidence(path, population_n: int) -> reconstruct.IncidenceSeries:
     """Read a date,count CSV into an incidence series.
 
-    A count is ASCII digits, optionally after a minus sign, with no other
-    sign, separator or digit; anything else is a ParseError naming its
-    line, and a negative count a NegativeCountError. A leading UTF-8
-    byte-order mark is skipped.
+    ``path`` is an open text file, or a str, bytes or os.PathLike file
+    name, read as UTF-8 past a leading byte-order mark. A count is ASCII
+    digits, optionally after a minus sign, with no other sign, separator or
+    digit. A byte that is not UTF-8 or a count of another form is a
+    ParseError naming its line, and a negative count a NegativeCountError.
     """
     dates, counts = [], []
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise errors.ParseError("empty file", line=1) from None
-        if [h.strip() for h in header] != ["date", "count"]:
-            raise errors.ParseError(f"expected header date,count, got "
-                                    f"{header!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise errors.ParseError("expected two fields", line=lineno)
-            raw = row[1].strip()
-            if not _COUNT.fullmatch(raw):
-                raise errors.ParseError(f"count {raw!r} is not an integer",
-                                        line=lineno)
-            count = int(raw)
-            if count < 0:
-                raise errors.NegativeCountError(
-                    f"line {lineno}: negative count {count}")
-            dates.append(row[0].strip())
-            counts.append(count)
+    reader = csv.reader(io.StringIO(simulate._read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise errors.ParseError("empty file", line=1) from None
+    if [h.strip() for h in header] != ["date", "count"]:
+        raise errors.ParseError(f"expected header date,count, got "
+                                f"{header!r}", line=1)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise errors.ParseError("expected two fields", line=lineno)
+        raw = row[1].strip()
+        if not _COUNT.fullmatch(raw):
+            raise errors.ParseError(f"count {raw!r} is not an integer",
+                                    line=lineno)
+        count = int(raw)
+        if count < 0:
+            raise errors.NegativeCountError(
+                f"line {lineno}: negative count {count}")
+        dates.append(row[0].strip())
+        counts.append(count)
     if not counts:
         raise errors.ParseError("no records")
     return reconstruct.IncidenceSeries(tuple(dates), tuple(counts),
@@ -218,11 +219,10 @@ def _load_config(path) -> tuple:
     if path is None:
         raise errors.ConfigError("this subcommand needs --config")
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(simulate._read_text(path))
     except FileNotFoundError:
         raise errors.ConfigError(f"config file {path!r} not found") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, errors.ParseError) as exc:
         raise errors.ConfigError(f"config is not valid JSON: {exc}") from None
     params = _read(cfg, _PARAMS, "config", strict=False)
     return cfg, model.ModelParams(**params)
@@ -250,9 +250,8 @@ def _need_seed(args):
 
 
 def _write_json(target, obj) -> None:
-    with open(target, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    with simulate._opened(target, "w") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _outdir(args) -> FilePath:
@@ -277,7 +276,7 @@ def _cmd_simulate(args):
         seed=_need_seed(args))
     path = simulate.simulate_path(sim_cfg)
     target = _outdir(args) / block["output"]
-    simulate.path_to_csv(path, str(target))
+    simulate.path_to_csv(path, target)
     print(f"wrote {target}")
     return 0
 
@@ -304,7 +303,7 @@ def _cmd_reconstruct(args):
     files = []
     for i, p in enumerate(paths):
         name = f"reconstruction_{i:04d}.csv"
-        simulate.path_to_csv(p, str(out / name))
+        simulate.path_to_csv(p, out / name)
         files.append(name)
     manifest = {"n_rep": n_rep, "seed": rec_cfg.seed,
                 "rng_algorithm": simulate.RNG_ALGORITHM, "files": files}
@@ -341,11 +340,10 @@ def _cmd_validate(args):
     verdict = diagnostics.normality_test(res.standardized,
                                          alpha=block["alpha"])
     out = _outdir(args)
-    simulate._write_rows(str(out / "residuals.csv"),
-                         ["t", "raw", "standardized"],
+    simulate._write_rows(out / "residuals.csv", ["t", "raw", "standardized"],
                          [path.times[1:], res.raw, res.standardized])
     diagnostics.qq_to_csv(diagnostics.qq_points(res.standardized),
-                          str(out / "qq.csv"))
+                          out / "qq.csv")
     _write_json(out / "normality.json", verdict.to_json_dict())
     print(f"wrote residuals.csv, qq.csv, normality.json to {out}; "
           f"normality pass = {verdict.passed}")
@@ -359,7 +357,7 @@ def _cmd_mc_study(args):
         params, block["init"], block["horizons"], n_rep=block["n_rep"],
         dt=block["dt"], seed=_need_seed(args), sigma=block["known_sigma"])
     target = _outdir(args) / block["output"]
-    diagnostics.consistency_to_csv(rows, str(target))
+    diagnostics.consistency_to_csv(rows, target)
     print(f"wrote {target}")
     return 0
 
@@ -376,7 +374,7 @@ def _cmd_mcmc(args):
     result = bayes.metropolis(series, block["priors"], params, block["init"],
                               mcfg)
     target = _outdir(args) / block["output"]
-    bayes.samples_to_csv(result, str(target))
+    bayes.samples_to_csv(result, target)
     print(f"wrote {target}; acceptance rate = {result.acceptance_rate:.3f}")
     return 0
 

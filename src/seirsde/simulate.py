@@ -17,6 +17,7 @@ is reproducible end to end.
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -246,8 +247,8 @@ def _scan_block(x, lo, hi, n_check, failures):
 
 
 # ---------------------------------------------------------------------------
-# CSV artifacts. Every CSV the package writes goes through ``_write_rows``;
-# the format is described once, in the README's "Artifact formats".
+# Files. ``_opened`` opens every file the package reads or writes, and
+# ``_write_rows`` writes every CSV; README "Artifact formats" has the formats.
 
 _PATH_HEADER = ["t", "S", "E", "Ia", "Is", "R"]
 # rows formatted per write; bounds the Python floats alive at once
@@ -257,12 +258,25 @@ _GRID_TOL = 1e-6
 
 
 def _opened(target, mode):
-    """``target`` itself if it is a file object, else the file it names;
-    a named file is read past a leading UTF-8 byte-order mark."""
-    if isinstance(target, (str, bytes)):
+    """``target`` if it is an open text file, else the file that the str,
+    bytes or os.PathLike ``target`` names, as UTF-8 with line ends kept;
+    a read skips a leading byte-order mark, and a write writes none."""
+    if isinstance(target, (str, bytes, os.PathLike)):
         return open(target, mode, newline="",
-                    encoding="utf-8-sig" if mode == "r" else None)
+                    encoding="utf-8-sig" if mode == "r" else "utf-8")
     return contextlib.nullcontext(target)
+
+
+def _read_text(source) -> str:
+    """The whole text of ``source``, opened by ``_opened``; a byte that does
+    not decode is a ParseError naming its line."""
+    with _opened(source, "r") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object[:exc.start].count(b"\n") + 1
+            raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not "
+                             f"{exc.encoding}", line=line) from None
 
 
 def _write_rows(target, header, columns) -> None:
@@ -282,7 +296,8 @@ def _write_rows(target, header, columns) -> None:
 
 
 def path_to_csv(path: Path, target) -> None:
-    """Write ``path`` to a file name or text file object."""
+    """Write ``path`` to an open text file, or as UTF-8 to the file that a
+    str, bytes or os.PathLike ``target`` names."""
     header = _PATH_HEADER
     cols = [path.times, path.s, path.e, path.i_a, path.i_s, path.r]
     if path.wiener is not None:
@@ -312,14 +327,15 @@ def _raise_first_bad_line(body: list, n_fields: int) -> None:
 def path_from_csv(source, require_simplex: bool = True) -> Path:
     """Read a path written by ``path_to_csv``; exact round trip.
 
-    Blank lines are skipped. The body is parsed in one numpy pass; only
-    when that fails is it read line by line, to name the first bad line.
-    A non-finite value, a second time not after the first, or a time off
-    the grid that the first two times set, is a ParseError naming its
-    line.
+    ``source`` is an open text file, or a str, bytes or os.PathLike file
+    name, read as UTF-8 past a leading byte-order mark. Blank lines are
+    skipped. The body is parsed in one numpy pass; only when that fails is
+    it read line by line, to name the first bad line. A byte that is not
+    UTF-8, a non-finite value, a second time not after the first, or a
+    time off the grid that the first two times set, is a ParseError naming
+    its line.
     """
-    with _opened(source, "r") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(source).splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     header = lines[0].split(",")

@@ -45,13 +45,15 @@ class TestLoadIncidence:
         assert series.counts == (74, 80)
         assert series.dates[0] == "2020-03-10"
 
-    def test_byte_order_mark_is_skipped(self, tmp_path):
+    @pytest.mark.parametrize("name", [str, FilePath], ids=["str", "pathlib"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, name):
         text = b"date,count\r\n2020-03-10,74\r\n2020-03-11,80\r\n"
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_bytes(text)
         marked.write_bytes(b"\xef\xbb\xbf" + text)
-        assert (load_incidence(str(marked), 1000)
-                == load_incidence(str(plain), 1000))
+        series = load_incidence(name(plain), 1000)
+        assert series.counts == (74, 80)
+        assert load_incidence(name(marked), 1000) == series
 
     def test_empty_data_section(self, tmp_path):
         f = tmp_path / "cases.csv"
@@ -85,6 +87,15 @@ class TestR0Command:
         assert main(["r0", "--config", cfg, "--r0-convention",
                      "consistent"]) == 0
         assert capsys.readouterr().out.strip() == "2.04598"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        cfg = FilePath(write_config(tmp_path))
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert main(["r0", "--config", str(cfg)]) == 0
+        plain = capsys.readouterr()
+        assert main(["r0", "--config", str(marked)]) == 0
+        assert capsys.readouterr() == plain
 
 
 class TestSimulateCommand:
@@ -276,13 +287,14 @@ class TestErrorMapping:
     @pytest.mark.parametrize("text,line", [
         ("", 1), ("day,count\na,1\n", 1), ("date,count\na,1,2\n", 2),
         ("date,count\na,1\n\nb,x\n", 4), ("date,count\na,1\nb,1_0\n", 3),
-        ("date,count\na,+12\n", 2), ("date,count\na,1\nb,\u0663\n", 3)],
+        ("date,count\na,+12\n", 2), ("date,count\na,1\nb,\u0663\n", 3),
+        (b"date,count\na,1\nb,\xe91\n", 3)],
         ids=["empty", "bad-header", "three-fields", "after-blank",
-             "underscore", "plus-sign", "arabic-indic-digit"])
+             "underscore", "plus-sign", "arabic-indic-digit", "not-utf-8"])
     def test_malformed_incidence_names_its_line(self, tmp_path, capsys, text,
                                                 line):
         series = tmp_path / "cases.csv"
-        series.write_text(text)
+        series.write_bytes(text if isinstance(text, bytes) else text.encode())
         cfg = write_config(tmp_path, reconstruct={
             "incidence": str(series), "population_n": 1000})
         code = main(["reconstruct", "--config", cfg, "--seed", "1",
@@ -292,13 +304,13 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("config,said", [
         (None, "needs --config"), ("absent.json", "not found"),
-        ("{", "not valid JSON")], ids=["no-config", "missing-file",
-                                       "invalid-json"])
+        (b"{", "not valid JSON"), (b'{\n"mu": "\xe9"}', "line 2: byte 0xe9")],
+        ids=["no-config", "missing-file", "invalid-json", "not-utf-8"])
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys,
                                                  config, said):
         argv = ["simulate", "--seed", "1", "--out", str(tmp_path)]
-        if config == "{":
-            (tmp_path / "bad.json").write_text(config)
+        if isinstance(config, bytes):  # the content of the config file
+            (tmp_path / "bad.json").write_bytes(config)
             argv += ["--config", str(tmp_path / "bad.json")]
         elif config is not None:
             argv += ["--config", str(tmp_path / config)]
@@ -395,6 +407,18 @@ class TestErrorMapping:
         code = main(["validate", "--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_CODES[ParseError]
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"],
+                             ids=["plain", "marked"])
+    def test_undecodable_path_byte_is_a_parse_error(self, tmp_path, capsys,
+                                                    mark):
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_bytes(mark + b"t,S,E,Ia,Is,R\n0,0.9,0.05,0.02,0.02,"
+                             b"0.01\n0.1,0.9,0.05,0.02,0.02,0.01\xe9\n")
+        cfg = write_config(tmp_path, validate={"path_csv": str(path_csv)})
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CODES[ParseError]
+        assert "line 3: byte 0xe9" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "estimate"])
     @pytest.mark.parametrize("times,blank,line", [

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -434,18 +435,20 @@ class TestPathCsv:
         assert np.array_equal(as_matrix(back), as_matrix(path))
         assert back.wiener is None
 
+    @pytest.mark.parametrize("name", [str, pathlib.Path],
+                             ids=["str", "pathlib"])
     def test_byte_order_mark_is_skipped(self, params, baseline_init,
-                                        tmp_path):
+                                        tmp_path, name):
         # spreadsheet programs often start a UTF-8 file with a BOM
         path = simulate_path(cfg_for(params, baseline_init, seed=17))
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        path_to_csv(path, str(plain))
+        path_to_csv(path, name(plain))
         assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        a, b = path_from_csv(str(plain)), path_from_csv(str(marked))
-        assert (a.t0, a.dt) == (b.t0, b.dt)
-        assert bits(as_matrix(a)) == bits(as_matrix(b))
-        assert bits(a.wiener) == bits(b.wiener)
+        for back in (path_from_csv(name(plain)), path_from_csv(name(marked))):
+            assert (back.t0, back.dt) == (path.t0, path.dt)
+            assert bits(as_matrix(back)) == bits(as_matrix(path))
+            assert bits(back.wiener) == bits(path.wiener)
 
     def test_bad_header(self):
         for text in ("time,S,E,Ia,Is,R\n", ""):  # a wrong header, and none
