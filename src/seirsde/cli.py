@@ -68,9 +68,10 @@ def load_incidence(path, population_n: int) -> reconstruct.IncidenceSeries:
     if [h.strip() for h in header] != ["date", "count"]:
         raise errors.ParseError(f"expected header date,count, got "
                                 f"{header!r}", line=1)
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num  # a quoted field may span lines
         if len(row) != 2:
             raise errors.ParseError("expected two fields", line=lineno)
         raw = row[1].strip()

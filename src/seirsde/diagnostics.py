@@ -22,7 +22,7 @@ from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
 from .estimate import _check_known_sigma, _estimate_replicates
 from .model import (ModelParams, Path, StateVec, _require_count,
                     _require_positive_step, _window_ends)
-from .simulate import _step_s, _write_rows, simulate_batch
+from .simulate import _gains, _step_s, _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
 _CHI2_2_CRITICAL = {0.01: 9.21034037197618, 0.05: 5.991464547107979}
@@ -84,7 +84,8 @@ def residual_increments(path: Path, params: ModelParams,
     sig = params.sigma
     dt = path.dt
     if method == "em":
-        _, s_hat = _step_s(s[:-1], ia[:-1], is_[:-1], r[:-1], 0.0, dt, params)
+        _, s_hat = _step_s(s[:-1], ia[:-1], is_[:-1], r[:-1],
+                           _gains(0.0, dt, params), dt, params)
         raw = (s[1:] - s_hat) / (sig * one_minus_s[:-1])
     elif method == "log":
         fb = params.beta_s * is_ + params.beta_a * ia
@@ -174,27 +175,32 @@ def consistency_study(truth: ModelParams, init: StateVec,
             raise ValueError(f"horizon {horizon} too short for dt = {dt}")
         seeds = [np.random.SeedSequence(seed, spawn_key=(h, i))
                  for i in range(n_rep)]
-        x, _, sim_failures = simulate_batch(truth, init, dt, n_steps, seeds)
-        violated = _window_ends(x[:, :, 0], x[:, :, 1], x[:, :, 2],
-                                x[:, :, 3]) != n_steps
-        violated[list(sim_failures)] = True
-        rate = float(np.mean(violated))
-        if np.all(violated):
-            raise WindowViolatedError(
-                f"all {n_rep} replicates violate the growth window at "
-                f"horizon {horizon}")
-        est, ok, _ = _estimate_replicates(x, dt, truth, sigma, sim_failures)
-        rows.append(ConsistencyRow(
-            horizon=horizon,
-            abs_err_beta_s=float(np.median(np.abs(est.beta_s
-                                                  - truth.beta_s))),
-            abs_err_beta_a=float(np.median(np.abs(est.beta_a
-                                                  - truth.beta_a))),
-            abs_err_p=float(np.median(np.abs(est.p - truth.p))),
-            window_violation_rate=rate,
-            flagged=rate > _FLAG_RATE,
-            n_failed=n_rep - int(ok.size)))
+        rows.append(_study_horizon(truth, init, horizon, n_steps, dt, seeds,
+                                   sigma))
     return rows
+
+
+def _study_horizon(truth, init, horizon, n_steps, dt, seeds, sigma):
+    """One horizon's row of ``consistency_study``. Its paths are freed on
+    return, so they are gone before the next horizon simulates its own."""
+    x, _, sim_failures = simulate_batch(truth, init, dt, n_steps, seeds)
+    violated = _window_ends(x[:, :, 0], x[:, :, 1], x[:, :, 2],
+                            x[:, :, 3]) != n_steps
+    violated[list(sim_failures)] = True
+    rate = float(np.mean(violated))
+    if np.all(violated):
+        raise WindowViolatedError(
+            f"all {len(seeds)} replicates violate the growth window at "
+            f"horizon {horizon}")
+    est, ok, _ = _estimate_replicates(x, dt, truth, sigma, sim_failures)
+    return ConsistencyRow(
+        horizon=horizon,
+        abs_err_beta_s=float(np.median(np.abs(est.beta_s - truth.beta_s))),
+        abs_err_beta_a=float(np.median(np.abs(est.beta_a - truth.beta_a))),
+        abs_err_p=float(np.median(np.abs(est.p - truth.p))),
+        window_violation_rate=rate,
+        flagged=rate > _FLAG_RATE,
+        n_failed=len(seeds) - int(ok.size))
 
 
 def qq_to_csv(points: np.ndarray, target) -> None:

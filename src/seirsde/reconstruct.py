@@ -158,20 +158,16 @@ def reconstruct_replicate_arrays(obs_is, cfg: ReconstructConfig, n_rep: int):
                                ia0, obs[0], cfg.init_r)
     dt, pr = cfg.dt, cfg.params
     is_ = obs.tolist()
+    is_rows = np.broadcast_to(obs[:, None], (len(obs), n_rep))
 
-    def step(k, prev, w, nxt):
+    def step(k, prev, g):
         # a live row holds is_[k] in prev[3]; a failed one is set back
         # after the run whatever it steps to
         s, e, ia, _, r = prev
-        nxt[0], nxt[1], nxt[2] = _step_s_e_ia(s, e, ia, is_[k], r, w, dt, pr)
-        nxt[3] = is_[k + 1]
-        r1 = nxt[4]
-        np.subtract(1.0, nxt[0], out=r1)
-        r1 -= nxt[1]
-        r1 -= nxt[2]
-        r1 -= is_[k + 1]
+        s1, e1, ia1 = _step_s_e_ia(s, e, ia, is_[k], r, g, dt, pr)
+        return s1, e1, ia1, is_rows[k + 1], 1.0 - s1 - e1 - ia1 - is_[k + 1]
 
-    return _run_batch(init, rngs, len(obs) - 1, dt, step, 3)
+    return _run_batch(init, rngs, len(obs) - 1, dt, pr, False, step, 3)
 
 
 def replicate_reconstructions(obs_is, cfg: ReconstructConfig,

@@ -4,14 +4,15 @@ Euler-Maruyama and Milstein steps share one Wiener stream per path; the same
 increment enters all five equations. The Euler-Maruyama line is evaluated in
 coefficient form: each coordinate steps as x ((1 - q dt) - sigma dW) plus its
 inflow times dt, q its outflow rate; S adds mu dt + sigma dW - fb + gamma dt R,
-fb being the infection flow. sigma dW and fb are formed once per step, and the
-Milstein correction is added after the Euler part. This agrees with the
-expanded line x + drift dt + diffusion dW to rounding, a few 1e-16 per step,
-not bitwise; the scalar and batch simulators evaluate the same function, so
-their rows stay bitwise equal. Increments come from numpy's PCG64
-generator (normal draws via the ziggurat method), and replicate streams
-derive from a base seed through ``replicate_seed`` so any Monte Carlo run
-is reproducible end to end.
+fb being the infection flow. The factors that depend on dW alone come from
+``_gains``, formed ahead of the steps for a whole block of increments; fb is
+formed once per step, and the Milstein correction is added after the Euler
+part. This agrees with the expanded line x + drift dt + diffusion dW to
+rounding, a few 1e-16 per step, not bitwise; the scalar and batch simulators
+evaluate the same functions, so their rows stay bitwise equal. Increments
+come from numpy's PCG64 generator (normal draws via the ziggurat method),
+and replicate streams derive from a base seed through ``replicate_seed`` so
+any Monte Carlo run is reproducible end to end.
 """
 
 from __future__ import annotations
@@ -86,47 +87,54 @@ def draw_increments(seed, n_steps: int, dt: float) -> np.ndarray:
     return dw
 
 
-def _step_s(s, ia, is_, r, sdw, dt, params):
-    """The infection flow fb = (beta_s dt I_s + beta_a dt I_a) S of one
-    Euler-Maruyama step and S after it, with sdw = sigma dW; floats or
-    arrays."""
-    mu_dt = params.mu * dt
-    fb = (params.beta_s * dt * is_ + params.beta_a * dt * ia) * s
-    return fb, (s * ((1.0 - mu_dt) - sdw) + (mu_dt + sdw) - fb
-                + params.gamma * dt * r)
-
-
-def _step_e_ia(e, ia, fb, sdw, dt, params):
-    """E and I_a after the step whose infection flow ``_step_s`` gave."""
-    e1 = e * ((1.0 - (params.kappa + params.mu) * dt) - sdw) + fb
-    ia1 = (ia * ((1.0 - (params.alpha_a + params.mu) * dt) - sdw)
-           + params.p * params.kappa * dt * e)
-    return e1, ia1
-
-
-def _step_s_e_ia(s, e, ia, is_, r, dw, dt, params):
-    """S, E and I_a after one Euler-Maruyama step; floats or arrays."""
-    sdw = params.sigma * dw
-    fb, s1 = _step_s(s, ia, is_, r, sdw, dt, params)
-    return (s1, *_step_e_ia(e, ia, fb, sdw, dt, params))
-
-
-def _step_values(x, dw, dt, params, milstein):
-    """One step of all five coordinates, x = (s, e, i_a, i_s, r); floats or
-    arrays."""
-    s, e, ia, is_, r = x
-    sig = params.sigma
+def _gains(dw, dt, params, milstein=False):
+    """The factors of an Euler-Maruyama step that depend on the increment
+    dw alone, for a float or an array of increments: (1 - q dt) - sigma dW
+    for S, E, I_a, I_s and R in that order, q each one's outflow rate, then
+    mu dt + sigma dW, S's inflow, then with ``milstein`` the Milstein
+    correction 0.5 sigma^2 (dW^2 - dt)."""
+    sig, mu = params.sigma, params.mu
     sdw = sig * dw
-    fb, s1 = _step_s(s, ia, is_, r, sdw, dt, params)
-    e1, ia1 = _step_e_ia(e, ia, fb, sdw, dt, params)
-    is1 = (is_ * ((1.0 - (params.alpha_s + params.mu) * dt) - sdw)
-           + (1.0 - params.p) * params.kappa * dt * e)
-    r1 = (r * ((1.0 - (params.mu + params.gamma) * dt) - sdw)
-          + (params.alpha_a * dt * ia + params.alpha_s * dt * is_))
+    g = [(1.0 - q * dt) - sdw
+         for q in (mu, params.kappa + mu, params.alpha_a + mu,
+                   params.alpha_s + mu, mu + params.gamma)]
+    g.append(mu * dt + sdw)
     if milstein:
         # diffusion b_i is affine with b_i' = -sigma except for S where
         # b(S) = sigma (1 - S), b' = -sigma; correction = 0.5 b b' (dW^2 - dt)
-        c = 0.5 * sig * sig * (dw * dw - dt)
+        g.append(0.5 * sig * sig * (dw * dw - dt))
+    return g
+
+
+def _step_s(s, ia, is_, r, g, dt, params):
+    """The infection flow fb = (beta_s dt I_s + beta_a dt I_a) S of one
+    Euler-Maruyama step and S after it, g the step's ``_gains``; floats or
+    arrays."""
+    fb = (params.beta_s * dt * is_ + params.beta_a * dt * ia) * s
+    return fb, s * g[0] + g[5] - fb + params.gamma * dt * r
+
+
+def _step_e_ia(e, ia, fb, g, dt, params):
+    """E and I_a after the step whose infection flow ``_step_s`` gave."""
+    return e * g[1] + fb, ia * g[2] + params.p * params.kappa * dt * e
+
+
+def _step_s_e_ia(s, e, ia, is_, r, g, dt, params):
+    """S, E and I_a after one Euler-Maruyama step; floats or arrays."""
+    fb, s1 = _step_s(s, ia, is_, r, g, dt, params)
+    return (s1, *_step_e_ia(e, ia, fb, g, dt, params))
+
+
+def _step_values(x, g, dt, params, milstein):
+    """One step of all five coordinates, x = (s, e, i_a, i_s, r), g the
+    step's ``_gains``; floats or arrays."""
+    s, e, ia, is_, r = x
+    fb, s1 = _step_s(s, ia, is_, r, g, dt, params)
+    e1, ia1 = _step_e_ia(e, ia, fb, g, dt, params)
+    is1 = is_ * g[3] + (1.0 - params.p) * params.kappa * dt * e
+    r1 = r * g[4] + (params.alpha_a * dt * ia + params.alpha_s * dt * is_)
+    if milstein:
+        c = g[6]
         s1 -= c * (1.0 - s)
         e1 += c * e
         ia1 += c * ia
@@ -157,8 +165,9 @@ def simulate_path(cfg: SimConfig,
     # past a failing step the state may overflow; the scan reports the step.
     # Python floats step faster than numpy scalars, and round the same.
     with np.errstate(all="ignore"):
-        for k, w in enumerate(dw.tolist()):
-            x = _step_values(x, w, cfg.dt, cfg.params, milstein)
+        gains = [a.tolist() for a in _gains(dw, cfg.dt, cfg.params, milstein)]
+        for k, g in enumerate(zip(*gains)):
+            x = _step_values(x, g, cfg.dt, cfg.params, milstein)
             cols[:, k + 1] = x
     failures = {}
     _scan_block(cols[:, :, None], 0, n, 5, failures)
@@ -187,30 +196,31 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
     _require_count("the seed count", len(seeds), 1)
     milstein = scheme == SCHEME_MILSTEIN
 
-    def step(k, prev, w, nxt):
-        nxt[0], nxt[1], nxt[2], nxt[3], nxt[4] = _step_values(
-            prev, w, dt, params, milstein)
+    def step(k, prev, g):
+        return _step_values(prev, g, dt, params, milstein)
 
     return _run_batch(init.as_array()[:, None],
                       [np.random.default_rng(sd) for sd in seeds], n_steps,
-                      dt, step, 5)
+                      dt, params, milstein, step, 5)
 
 
-def _run_batch(init, rngs, n_steps, dt, step, n_check):
+def _run_batch(init, rngs, n_steps, dt, params, milstein, step, n_check):
     """The batch engine behind ``simulate_batch`` and the reconstruction.
 
     Replicate i starts from column i of ``init`` and draws its increments
     from ``rngs[i]`` as ``draw_increments`` would. State is time-major,
-    (5, n_steps + 1, n_rep): step k calls ``step(k, prev, w, nxt)``, which
-    writes the next state into the replicate rows ``nxt`` in place. Steps
-    run in blocks of ``_ELEMENT_BUDGET // n_rep`` (at least one) with no
-    check inside; each block is then scanned once. A replicate whose first
-    ``n_check`` coordinates left [0, 1] (NaN included) at step k gets the
-    PositivityError of its first offending component at step k in
-    failures, and after the run is frozen at its state before that step.
-    Replicates never mix, so each row does the same float operations as it
-    would alone. Returns ``(states, increments, failures)``, the arrays as
-    replicate-major views.
+    (5, n_steps + 1, n_rep). Steps run in blocks of ``_ELEMENT_BUDGET //
+    n_rep`` (at least one) with no check inside. The ``_gains`` under
+    ``params`` and ``milstein`` are formed once per block, over (block,
+    n_rep). Step k calls ``prev = step(k, prev, g)``, g the step's rows of
+    them and prev the five replicate rows of state k (``init`` at first),
+    and stores the returned rows as state k + 1. Each block is then scanned
+    once. A replicate whose first ``n_check`` coordinates left [0, 1] (NaN
+    included) at step k gets the PositivityError of its first offending
+    component at step k in failures, and after the run is frozen at its
+    state before that step. Replicates never mix, so each row does the
+    same float operations as it would alone. Returns ``(states,
+    increments, failures)``, the arrays as replicate-major views.
     """
     n_rep = len(rngs)
     dw = np.empty((n_steps, n_rep))
@@ -221,12 +231,15 @@ def _run_batch(init, rngs, n_steps, dt, step, n_check):
     x[:, 0] = init
     failures = {}
     block = max(1, _ELEMENT_BUDGET // n_rep)
+    prev = x[:, 0]
     # a failed row may overflow or turn NaN after its failing step
     with np.errstate(all="ignore"):
         for lo in range(0, n_steps, block):
             hi = min(lo + block, n_steps)
-            for k in range(lo, hi):
-                step(k, x[:, k], dw[k], x[:, k + 1])
+            gains = _gains(dw[lo:hi], dt, params, milstein)
+            for k, g in enumerate(zip(*gains), lo):
+                prev = step(k, prev, g)
+                x[:, k + 1] = prev
             _scan_block(x, lo, hi, n_check, failures)
     for i, err in failures.items():
         x[:, err.step + 1:, i] = x[:, err.step:err.step + 1, i]

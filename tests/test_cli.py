@@ -288,9 +288,11 @@ class TestErrorMapping:
         ("", 1), ("day,count\na,1\n", 1), ("date,count\na,1,2\n", 2),
         ("date,count\na,1\n\nb,x\n", 4), ("date,count\na,1\nb,1_0\n", 3),
         ("date,count\na,+12\n", 2), ("date,count\na,1\nb,\u0663\n", 3),
-        (b"date,count\na,1\nb,\xe91\n", 3)],
+        (b"date,count\na,1\nb,\xe91\n", 3),
+        ('date,count\n"2020-01\n01",1\n2020-01-02,x\n', 4)],
         ids=["empty", "bad-header", "three-fields", "after-blank",
-             "underscore", "plus-sign", "arabic-indic-digit", "not-utf-8"])
+             "underscore", "plus-sign", "arabic-indic-digit", "not-utf-8",
+             "quoted-line-end"])
     def test_malformed_incidence_names_its_line(self, tmp_path, capsys, text,
                                                 line):
         series = tmp_path / "cases.csv"

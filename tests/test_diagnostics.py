@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,23 @@ class TestConsistencyStudy:
                 violated.append(not (window.satisfied
                                      and window.t_end == path.times[-1]))
             assert row.window_violation_rate == np.mean(violated)
+
+    def test_a_horizon_frees_its_paths_before_the_next(self, params,
+                                                       interior_init):
+        # two horizons of nearly the same length: holding the first one's
+        # states and increments while the second simulates would double
+        # the peak, so the bound is one and a half of the second's arrays
+        horizons, n_rep, dt = [0.15, 0.16], 2000, 1e-3
+        n_steps = int(round(horizons[-1] / dt))
+        arrays = (5 * (n_steps + 1) + n_steps) * n_rep * 8
+        tracemalloc.start()
+        try:
+            consistency_study(params, interior_init, horizons, n_rep, dt=dt,
+                              seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * arrays
 
     @pytest.mark.parametrize("horizons,n_rep", [([0.04, 0.02], 5),
                                                 ([], 5), ([0.02], 0),

@@ -9,7 +9,7 @@ from seirsde import (EmptySeriesError, IncidenceSeries, LengthMismatchError,
                      simulate_path)
 from seirsde.model import INITIAL_POOL_PRIOR
 from seirsde.reconstruct import reconstruct_replicate_arrays
-from seirsde.simulate import _ELEMENT_BUDGET, _step_s_e_ia
+from seirsde.simulate import _ELEMENT_BUDGET, _gains, _step_s_e_ia
 
 from conftest import as_matrix
 
@@ -287,12 +287,34 @@ class TestReplicates:
             # error names the first of them with its value
             before = x[i, :k + 1, :3]
             assert np.all((before >= 0.0) & (before <= 1.0))
-            after = _step_s_e_ia(*x[i, k], dw[i, k], cfg.dt, wild)
+            after = _step_s_e_ia(*x[i, k], _gains(dw[i, k], cfg.dt, wild),
+                                 cfg.dt, wild)
             comp = next(c for c, v in enumerate(after) if not 0.0 <= v <= 1.0)
             assert (exc.component, exc.value) == (("s", "e", "i_a")[comp],
                                                   after[comp])
             assert np.all(x[i, k + 1:] == x[i, k])
             assert np.array_equal(x[i, :k + 1, 3], synthetic_obs[:k + 1])
+
+    def test_rows_match_a_float_replay(self, params, interior_init,
+                                       synthetic_obs):
+        # blocks of 16 steps over the 46 observed steps: each row crosses
+        # two block ends, and steps as Python floats would step it alone
+        n_rep = _ELEMENT_BUDGET // 16
+        cfg = rec_cfg(params, interior_init)
+        x, dw, failures = reconstruct_replicate_arrays(synthetic_obs, cfg,
+                                                       n_rep)
+        assert not failures
+        is_ = synthetic_obs.tolist()
+        for i in (0, n_rep - 1):
+            rows = [x[i, 0].tolist()]
+            s, e, ia, _, r = rows[0]
+            for k, w in enumerate(dw[i].tolist()):
+                s, e, ia = _step_s_e_ia(s, e, ia, is_[k], r,
+                                        _gains(w, cfg.dt, params), cfg.dt,
+                                        params)
+                r = 1.0 - s - e - ia - is_[k + 1]
+                rows.append([s, e, ia, is_[k + 1], r])
+            assert np.array_equal(x[i], np.array(rows))
 
     def test_diverging_frozen_rows_leak_no_warning(self, params,
                                                    interior_init):
