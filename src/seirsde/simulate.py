@@ -240,6 +240,7 @@ def _run_batch(init, rngs, n_steps, dt, params, milstein, step, n_check):
             for k, g in enumerate(zip(*gains), lo):
                 prev = step(k, prev, g)
                 x[:, k + 1] = prev
+            del gains, g  # free this block's factors before the next's
             _scan_block(x, lo, hi, n_check, failures)
     for i, err in failures.items():
         x[:, err.step + 1:, i] = x[:, err.step:err.step + 1, i]
