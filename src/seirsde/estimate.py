@@ -332,16 +332,18 @@ def girsanov_loglik(path: Path, theta: Sequence[float],
     _need_two_points(path)
     _require_positive_step("sigma", sigma)
     _require_positive_step("kappa", kappa)
-    if increments is None:
-        increments = path.wiener
-    if increments is None:
+    if increments is not None:
+        dw = np.asarray(increments, dtype=float)
+        if dw.shape != (len(path) - 1,):
+            raise LengthMismatchError(
+                "increments must hold one value per step")
+        if not np.all(np.isfinite(dw)):
+            raise ValueError("increments must be finite")
+    elif path.wiener is not None:
+        dw = path.wiener  # Path checked its shape and finiteness
+    else:
         raise MissingIncrementsError(
             "path has no Wiener increments and none were supplied")
-    dw = np.asarray(increments, dtype=float)
-    if dw.shape != (len(path) - 1,):
-        raise LengthMismatchError("increments must hold one value per step")
-    if not np.all(np.isfinite(dw)):
-        raise ValueError("increments must be finite")
     pair = np.array([theta, theta0], dtype=float)
     if pair.shape != (2, 3) or not np.all(np.isfinite(pair)):
         raise ValueError(f"theta and theta0 must be finite triples, got "

@@ -45,6 +45,12 @@ _COMPONENTS = ("s", "e", "i_a", "i_s", "r")
 # hundreds of rows, which keeps numpy's per-call overhead small.
 _ELEMENT_BUDGET = 1 << 15
 
+# Rows that the scalar path takes at a time: steps that ``simulate_path``
+# turns into Python floats, rows that ``_write_rows`` formats and lines that
+# ``path_from_csv`` parses. Bounds the Python objects alive at once, so a
+# path's transient memory does not grow with its length.
+_ROWS_PER_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -114,23 +120,18 @@ def _step_s(s, ia, is_, r, g, dt, params):
     return fb, s * g[0] + g[5] - fb + params.gamma * dt * r
 
 
-def _step_e_ia(e, ia, fb, g, dt, params):
-    """E and I_a after the step whose infection flow ``_step_s`` gave."""
-    return e * g[1] + fb, ia * g[2] + params.p * params.kappa * dt * e
-
-
 def _step_s_e_ia(s, e, ia, is_, r, g, dt, params):
-    """S, E and I_a after one Euler-Maruyama step; floats or arrays."""
+    """S, E and I_a after one Euler-Maruyama step, g the step's ``_gains``;
+    floats or arrays."""
     fb, s1 = _step_s(s, ia, is_, r, g, dt, params)
-    return (s1, *_step_e_ia(e, ia, fb, g, dt, params))
+    return s1, e * g[1] + fb, ia * g[2] + params.p * params.kappa * dt * e
 
 
 def _step_values(x, g, dt, params, milstein):
     """One step of all five coordinates, x = (s, e, i_a, i_s, r), g the
     step's ``_gains``; floats or arrays."""
     s, e, ia, is_, r = x
-    fb, s1 = _step_s(s, ia, is_, r, g, dt, params)
-    e1, ia1 = _step_e_ia(e, ia, fb, g, dt, params)
+    s1, e1, ia1 = _step_s_e_ia(s, e, ia, is_, r, g, dt, params)
     is1 = is_ * g[3] + (1.0 - params.p) * params.kappa * dt * e
     r1 = r * g[4] + (params.alpha_a * dt * ia + params.alpha_s * dt * is_)
     if milstein:
@@ -148,9 +149,12 @@ def simulate_path(cfg: SimConfig,
     """Integrate the stochastic system over n_steps from cfg.init.
 
     Deterministic given cfg; pass ``increments`` to reuse an externally
-    drawn Wiener stream, one increment per step. Steps the whole path, then
-    scans it once as the batch engine scans a block: raises PositivityError
-    naming the first step and component that left [0, 1] (NaN included).
+    drawn Wiener stream, one increment per step. Steps one block of
+    ``_ROWS_PER_BLOCK`` steps at a time, its ``_gains`` as Python floats,
+    so only the path's arrays grow with its length. Scans the whole path
+    once after the last step, as the batch engine scans a block: raises
+    PositivityError naming the first step and component that left [0, 1]
+    (NaN included).
     """
     if increments is None:
         increments = draw_increments(cfg.seed, cfg.n_steps, cfg.dt)
@@ -165,10 +169,12 @@ def simulate_path(cfg: SimConfig,
     # past a failing step the state may overflow; the scan reports the step.
     # Python floats step faster than numpy scalars, and round the same.
     with np.errstate(all="ignore"):
-        gains = [a.tolist() for a in _gains(dw, cfg.dt, cfg.params, milstein)]
-        for k, g in enumerate(zip(*gains)):
-            x = _step_values(x, g, cfg.dt, cfg.params, milstein)
-            cols[:, k + 1] = x
+        for lo in range(0, n, _ROWS_PER_BLOCK):
+            gains = [a.tolist() for a in _gains(dw[lo:lo + _ROWS_PER_BLOCK],
+                                                cfg.dt, cfg.params, milstein)]
+            for k, g in enumerate(zip(*gains), lo + 1):
+                x = _step_values(x, g, cfg.dt, cfg.params, milstein)
+                cols[:, k] = x
     failures = {}
     _scan_block(cols[:, :, None], 0, n, 5, failures)
     if failures:
@@ -265,8 +271,6 @@ def _scan_block(x, lo, hi, n_check, failures):
 # ``_write_rows`` writes every CSV; README "Artifact formats" has the formats.
 
 _PATH_HEADER = ["t", "S", "E", "Ia", "Is", "R"]
-# rows formatted per write; bounds the Python floats alive at once
-_ROWS_PER_WRITE = 4096
 # largest distance of a read time from t0 + k*dt, as a fraction of dt
 _GRID_TOL = 1e-6
 
@@ -293,6 +297,35 @@ def _read_text(source) -> str:
                              f"{exc.encoding}", line=line) from None
 
 
+def _line_blocks(source):
+    """The lines of ``source``, opened by ``_opened``, as ``str.splitlines``
+    splits its text: lists of at most ``_ROWS_PER_BLOCK`` lines, each with
+    the number of its first line. A named file is read about a block of
+    path rows at a time. An open file is read whole, since only a read from
+    its start names the line of a byte that does not decode; for the same
+    reason a named file with such a byte is read again whole, and the
+    ParseError names the byte's line."""
+    with _opened(source, "r") as fh:
+        named = fh is not source
+        lineno, tail, text = 1, "", None
+        while text != "":
+            try:
+                # a path row is about 130 characters
+                text = (fh.read(_ROWS_PER_BLOCK * 128) if named
+                        else _read_text(fh))
+            except UnicodeDecodeError:  # in a named file: read it again
+                _read_text(source)
+                raise
+            # a line feed always ends a line; what follows the last one may
+            # go on in the next read
+            buf = tail + text
+            cut = buf.rfind("\n") + 1 if text else len(buf)
+            lines, tail = buf[:cut].splitlines(), buf[cut:]
+            for lo in range(0, len(lines), _ROWS_PER_BLOCK):
+                yield lineno + lo, lines[lo:lo + _ROWS_PER_BLOCK]
+            lineno += len(lines)
+
+
 def _write_rows(target, header, columns) -> None:
     """Write ``header`` and one row per value of the first column; a column
     one value shorter leaves its field of the final row empty."""
@@ -301,9 +334,9 @@ def _write_rows(target, header, columns) -> None:
     row = ",".join(["%.17g"] * len(cols)) + "\r\n"
     with _opened(target, "w") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n, _ROWS_PER_WRITE):
+        for lo in range(0, n, _ROWS_PER_BLOCK):
             fh.writelines(row % r for r in zip(
-                *(c[lo:lo + _ROWS_PER_WRITE].tolist() for c in cols)))
+                *(c[lo:lo + _ROWS_PER_BLOCK].tolist() for c in cols)))
         if any(len(c) < n for c in cols):  # zip stopped a row short
             fh.write(",".join("%.17g" % c[-1] if len(c) == n else ""
                               for c in cols) + "\r\n")
@@ -319,10 +352,11 @@ def path_to_csv(path: Path, target) -> None:
     _write_rows(target, header, cols)
 
 
-def _raise_first_bad_line(body: list, n_fields: int) -> None:
-    """Raise ``ParseError`` naming the first malformed line of a path CSV
-    body (from line 2), each line parsed as ``path_from_csv`` parses all."""
-    for lineno, line in enumerate(body, start=2):
+def _raise_first_bad_line(lines: list, n_fields: int, first: int) -> None:
+    """Raise ``ParseError`` naming the first malformed line of a block of a
+    path CSV body, ``first`` the number of its first line, each line parsed
+    as ``_parse_rows`` parses them all."""
+    for lineno, line in enumerate(lines, start=first):
         if not line:
             continue
         fields = line.split(",")
@@ -338,58 +372,91 @@ def _raise_first_bad_line(body: list, n_fields: int) -> None:
                              line=lineno) from None
 
 
+def _parse_rows(lines: list, n_fields: int, first: int):
+    """The rows of a block of a path CSV body as an (n_fields, rows) array,
+    and the numbers of its blank lines, which it skips; ``first`` is the
+    number of its first line."""
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] != n_fields:
+            raise ValueError(f"expected {n_fields} fields")
+    except ValueError as exc:
+        _raise_first_bad_line(lines, n_fields, first)
+        raise ParseError(str(exc)) from None
+    blank = [] if len(data) == len(lines) else [
+        i for i, line in enumerate(lines, first) if not line]
+    return data.T, blank
+
+
 def path_from_csv(source, require_simplex: bool = True) -> Path:
     """Read a path written by ``path_to_csv``; exact round trip.
 
     ``source`` is an open text file, or a str, bytes or os.PathLike file
     name, read as UTF-8 past a leading byte-order mark. Blank lines are
-    skipped. The body is parsed in one numpy pass; only when that fails is
-    it read line by line, to name the first bad line. A byte that is not
-    UTF-8, a non-finite value, a second time not after the first, or a
-    time off the grid that the first two times set, is a ParseError naming
-    its line.
+    skipped. A named file is read and parsed a block of
+    ``_ROWS_PER_BLOCK`` lines at a time, so beyond the path's arrays it
+    holds one block of lines; an open file is read whole, then parsed by
+    blocks. A block that numpy cannot parse is read line by line to name
+    its first bad line. A byte that is not UTF-8, a non-finite value, a
+    second
+    time not after the first, or a time off the grid that the first two
+    times set, is a ParseError naming its line.
     """
-    lines = _read_text(source).splitlines()
+    blocks = _line_blocks(source)
+    _, lines = next(blocks, (1, []))
     if not lines:
         raise ParseError("empty file", line=1)
     header = lines[0].split(",")
     if header[:6] != _PATH_HEADER or header[6:] not in ([], ["dW"]):
         raise ParseError(f"unexpected header {header!r}", line=1)
-    body = lines[1:]
+    n_fields = len(header)
+    parsed = []
+    # body lines not parsed yet, and the number of the first: a block is
+    # parsed once a later block shows that it holds no final row
+    body, first = lines[1:], 2
+    for lineno, lines in blocks:
+        if any(lines) and any(body):
+            parsed.append(_parse_rows(body, n_fields, first))
+            body, first = lines, lineno
+        else:
+            body += lines
     while body and not body[-1]:
         body.pop()
     if not body:
         raise ParseError("no data rows", line=2)
-    if len(header) == 7 and body[-1].endswith(","):
+    if n_fields == 7 and body[-1].endswith(","):
         body[-1] += "nan"  # the final row closes no step, so has no dW
-    try:
-        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        if data.shape[1] != len(header):
-            raise ValueError(f"expected {len(header)} fields")
-    except ValueError as exc:
-        _raise_first_bad_line(body, len(header))
-        raise ParseError(str(exc)) from None
-    if len(data) == 1:
+    parsed.append(_parse_rows(body, n_fields, first))
+    blanks = [i for _, blank in parsed for i in blank]
+    # rows of a C-ordered array, so Path keeps them without a copy
+    data = np.empty((n_fields, sum(rows.shape[1] for rows, _ in parsed)))
+    np.concatenate([rows for rows, _ in parsed], axis=1, out=data)
+    del parsed  # free the blocks before the checks take their temporaries
+    if data.shape[1] == 1:
         raise ParseError("cannot recover dt from a single grid point", line=2)
-    t = data[:, 0]
+    t = data[0]
     t0, dt = float(t[0]), float(t[1] - t[0])
     finite = np.isfinite(data)
-    finite[-1, 6:] = True  # the final row's dW is dropped
+    finite[6:, -1] = True  # the final row's dW is dropped
     off_grid = np.abs(t - (t0 + dt * np.arange(len(t)))) > _GRID_TOL * abs(dt)
     off_grid[1] = not dt > 0  # the second time sets dt, which must be positive
-    bad = np.flatnonzero(~finite.all(axis=1) | off_grid)
+    bad = np.flatnonzero(~finite.all(axis=0) | off_grid)
     if bad.size:
         k = int(bad[0])
-        lineno = [i for i, line in enumerate(body, start=2) if line][k]
-        if not finite[k].all():
-            j = int(np.argmin(finite[k]))
+        lineno = k + 2
+        for blank in blanks:  # row k is on the (k + 1)-th line not blank
+            if blank > lineno:
+                break
+            lineno += 1
+        if not finite[:, k].all():
+            j = int(np.argmin(finite[:, k]))
             raise ParseError(f"non-finite {header[j]} value "
-                             f"{float(data[k, j])!r}", line=lineno)
+                             f"{float(data[j, k])!r}", line=lineno)
         if k == 1:
             raise ParseError(f"time {float(t[1])!r} is not after the first "
                              f"time {t0!r}", line=lineno)
         raise ParseError(f"time {float(t[k])!r} is off the grid t0 + k*dt "
                          f"with t0 = {t0!r}, dt = {dt!r}", line=lineno)
-    wiener = data[:-1, 6] if len(header) == 7 else None
-    return Path(t0, dt, data[:, 1], data[:, 2], data[:, 3], data[:, 4],
-                data[:, 5], wiener=wiener, require_simplex=require_simplex)
+    wiener = data[6, :-1] if n_fields == 7 else None
+    return Path(t0, dt, data[1], data[2], data[3], data[4], data[5],
+                wiener=wiener, require_simplex=require_simplex)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from seirsde import (BASELINE_PARAMS, ParseError, Path, PositivityError,
                      SimConfig, StateVec, draw_increments, hypothesis_window,
-                     path_from_csv, path_to_csv, simulate_path)
+                     path_from_csv, path_to_csv, simulate, simulate_path)
 from seirsde.model import PATH_SIMPLEX_TOL
 from seirsde.simulate import (_ELEMENT_BUDGET, SCHEME_EULER, SCHEME_MILSTEIN,
                               simulate_batch)
@@ -187,6 +188,17 @@ class TestSimulatePath:
         with pytest.raises(PositivityError) as err:
             simulate_path(cfg)
         assert 0 <= err.value.step < 200
+
+    @pytest.mark.parametrize("scheme", [SCHEME_EULER, SCHEME_MILSTEIN])
+    def test_block_size_leaves_the_path_bitwise(self, params, interior_init,
+                                                scheme, monkeypatch):
+        cfg = cfg_for(params, interior_init, n_steps=300, seed=8,
+                      scheme=scheme)
+        whole = simulate_path(cfg)
+        monkeypatch.setattr(simulate, "_ROWS_PER_BLOCK", 1)
+        stepwise = simulate_path(cfg)
+        assert bits(as_matrix(stepwise)) == bits(as_matrix(whole))
+        assert bits(stepwise.wiener) == bits(whole.wiener)
 
     def test_failing_path_is_stepped_to_its_end_without_warning(
             self, params, interior_init):
@@ -490,3 +502,77 @@ class TestPathCsv:
     def test_single_row_rejected(self):
         with pytest.raises(ParseError):
             path_from_csv(io.StringIO("t,S,E,Ia,Is,R\n0,0.9,0.05,0.02,0.02,0.01\n"))
+
+    @pytest.mark.parametrize("opened", [False, True],
+                             ids=["named", "open-file"])
+    def test_undecodable_byte_past_the_first_block_is_named(
+            self, params, interior_init, tmp_path, opened):
+        # past the text decoder's first 8 KiB and the first block of lines
+        n = simulate._ROWS_PER_BLOCK + 500
+        target = tmp_path / "path.csv"
+        path_to_csv(simulate_path(cfg_for(params, interior_init, n_steps=n,
+                                          seed=4)), target)
+        lines = target.read_bytes().split(b"\r\n")
+        lines[n - 9] = lines[n - 9].replace(b",", b",\xe9", 1)
+        target.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            if opened:
+                with open(target, newline="", encoding="utf-8") as fh:
+                    path_from_csv(fh)
+            else:
+                path_from_csv(target)
+        assert str(err.value) == f"line {n - 8}: byte 0xe9 is not utf-8"
+
+
+class TestPathCsvAtBlockEdges:
+    """TestPathCsv's round trips, blank lines, byte-order marks and bad
+    lines with blocks of one and of two rows, so that each of them, and
+    the final row's missing dW, falls on a block edge."""
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["rows1", "rows2"])
+    def rows_per_block(self, request, monkeypatch):
+        monkeypatch.setattr(simulate, "_ROWS_PER_BLOCK", request.param)
+
+    test_round_trip_exact = TestPathCsv.test_round_trip_exact
+    test_round_trip_without_increments = \
+        TestPathCsv.test_round_trip_without_increments
+    test_byte_order_mark_is_skipped = \
+        TestPathCsv.test_byte_order_mark_is_skipped
+    test_malformed_line_is_named = TestPathCsv.test_malformed_line_is_named
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, in bytes, as
+    tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return call(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestScalarPathMemory:
+    """The scalar simulator and the path reader hold one block of rows at a
+    time, so their peaks follow the path's arrays, not Python objects per
+    row; when they held the whole path the ratios were about 6.0 and 2.4."""
+
+    N_STEPS = 100_000
+
+    def test_simulator_peak_is_under_twice_its_arrays(self, params,
+                                                      interior_init):
+        cfg = cfg_for(params, interior_init, n_steps=self.N_STEPS, seed=4)
+        path, peak = traced_peak(lambda: simulate_path(cfg))
+        arrays = sum(a.nbytes for a in (path.s, path.e, path.i_a, path.i_s,
+                                        path.r, path.wiener))
+        assert peak < 2.0 * arrays
+
+    def test_reader_peak_is_under_one_and_a_half_file_sizes(
+            self, params, interior_init, tmp_path):
+        target = tmp_path / "path.csv"
+        path_to_csv(simulate_path(cfg_for(params, interior_init,
+                                          n_steps=self.N_STEPS, seed=4)),
+                    target)
+        path, peak = traced_peak(lambda: path_from_csv(target))
+        assert len(path) == self.N_STEPS + 1
+        assert peak < 1.5 * target.stat().st_size
