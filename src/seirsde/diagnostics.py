@@ -22,7 +22,8 @@ from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
 from .estimate import _check_known_sigma, _estimate_replicates
 from .model import (ModelParams, Path, StateVec, _require_count,
                     _require_positive_step, _window_ends)
-from .simulate import _gains, _step_s, _write_rows, simulate_batch
+from .simulate import (_batch_storage, _gains, _step_s, _write_rows,
+                       simulate_batch)
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
 _CHI2_2_CRITICAL = {0.01: 9.21034037197618, 0.05: 5.991464547107979}
@@ -156,7 +157,15 @@ def consistency_study(truth: ModelParams, init: StateVec,
     [0, 1] counts as violating the window, whatever its frozen row shows.
     A horizon is flagged when that fraction exceeds ``_FLAG_RATE``; if
     every replicate violates the window the study aborts. ``n_rep`` is an
-    integer of at least 1.
+    integer of at least 1, and a horizon under two steps of ``dt`` is a
+    ValueError raised before any path is simulated.
+
+    Every horizon runs in one state and one increment storage, sized for
+    the longest horizon and allocated once: glibc raises its mmap and trim
+    thresholds when it frees a mapping of up to 32 MB, so freeing each
+    horizon's arrays in turn left shorter horizons on a heap it never
+    trimmed. Each horizon's paths are views of that storage, valid until
+    the next horizon runs.
     """
     horizons = list(horizons)
     if not horizons:
@@ -168,22 +177,26 @@ def consistency_study(truth: ModelParams, init: StateVec,
         raise ValueError("horizons must be strictly increasing")
     _check_known_sigma(sigma)
     _require_positive_step("dt", dt)
+    steps = [int(round(horizon / dt)) for horizon in horizons]
+    if steps[0] < 2:  # horizons increase, so the first is the shortest
+        raise ValueError(f"horizon {horizons[0]} too short for dt = {dt}")
+    storage = _batch_storage(steps[-1], n_rep)
     rows = []
-    for h, horizon in enumerate(horizons):
-        n_steps = int(round(horizon / dt))
-        if n_steps < 2:
-            raise ValueError(f"horizon {horizon} too short for dt = {dt}")
+    for h, (horizon, n_steps) in enumerate(zip(horizons, steps)):
         seeds = [np.random.SeedSequence(seed, spawn_key=(h, i))
                  for i in range(n_rep)]
         rows.append(_study_horizon(truth, init, horizon, n_steps, dt, seeds,
-                                   sigma))
+                                   sigma, storage))
     return rows
 
 
-def _study_horizon(truth, init, horizon, n_steps, dt, seeds, sigma):
-    """One horizon's row of ``consistency_study``. Its paths are freed on
-    return, so they are gone before the next horizon simulates its own."""
-    x, _, sim_failures = simulate_batch(truth, init, dt, n_steps, seeds)
+def _study_horizon(truth, init, horizon, n_steps, dt, seeds, sigma,
+                   storage):
+    """One horizon's row of ``consistency_study``. Its paths are simulated
+    into the front of the study's ``storage``, which is sized for the
+    longest horizon, and stay valid only until the next horizon runs."""
+    x, _, sim_failures = simulate_batch(truth, init, dt, n_steps, seeds,
+                                        storage=storage)
     violated = _window_ends(x[:, :, 0], x[:, :, 1], x[:, :, 2],
                             x[:, :, 3]) != n_steps
     violated[list(sim_failures)] = True

@@ -18,6 +18,7 @@ any Monte Carlo run is reproducible end to end.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -149,14 +150,16 @@ def simulate_path(cfg: SimConfig,
     """Integrate the stochastic system over n_steps from cfg.init.
 
     Deterministic given cfg; pass ``increments`` to reuse an externally
-    drawn Wiener stream, one increment per step. Steps one block of
-    ``_ROWS_PER_BLOCK`` steps at a time, its ``_gains`` as Python floats,
-    so only the path's arrays grow with its length. Scans the whole path
+    drawn Wiener stream, one increment per step, which the path keeps a
+    copy of. Steps one block of ``_ROWS_PER_BLOCK`` steps at a time, its
+    ``_gains`` as Python floats, so only the path's arrays grow with its
+    length. Scans the whole path
     once after the last step, as the batch engine scans a block: raises
     PositivityError naming the first step and component that left [0, 1]
     (NaN included).
     """
-    if increments is None:
+    drawn = increments is None
+    if drawn:
         increments = draw_increments(cfg.seed, cfg.n_steps, cfg.dt)
     dw = np.asarray(increments, dtype=float)
     if dw.shape != (cfg.n_steps,):
@@ -179,12 +182,14 @@ def simulate_path(cfg: SimConfig,
     _scan_block(cols[:, :, None], 0, n, 5, failures)
     if failures:
         raise failures[0]
+    # Path makes its arrays read-only, so a caller's increments are copied
     return Path(0.0, cfg.dt, cols[0], cols[1], cols[2], cols[3], cols[4],
-                wiener=dw.copy())
+                wiener=dw if drawn else dw.copy())
 
 
 def simulate_batch(params: ModelParams, init: StateVec, dt: float,
-                   n_steps: int, seeds: Sequence, scheme: str = SCHEME_EULER):
+                   n_steps: int, seeds: Sequence, scheme: str = SCHEME_EULER,
+                   *, storage=None):
     """Vectorised engine for Monte Carlo studies.
 
     Integrates one path per seed simultaneously; per-replicate results are
@@ -196,7 +201,13 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
     the PositivityError of the first step that left [0, 1], the same one
     ``simulate_path`` raises, and that row holds its state before the
     failing step from then on. Storage is time-major, so both arrays are
-    transposed views of it. ``seeds`` must hold at least one seed.
+    transposed views of it: fresh arrays by default, or the front of a
+    ``storage`` from ``_batch_storage`` at least this run's size, which the
+    run overwrites in full. Arrays from a given storage are views, valid
+    until that storage is used again. A caller running batches of several
+    sizes passes one storage sized for the largest, since glibc keeps the
+    heap that freed arrays of a few MB to 32 MB leave behind. ``seeds``
+    must hold at least one seed.
     """
     SimConfig(params, init, dt, n_steps, scheme)
     _require_count("the seed count", len(seeds), 1)
@@ -207,10 +218,24 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
 
     return _run_batch(init.as_array()[:, None],
                       [np.random.default_rng(sd) for sd in seeds], n_steps,
-                      dt, params, milstein, step, 5)
+                      dt, params, milstein, step, 5, storage)
 
 
-def _run_batch(init, rngs, n_steps, dt, params, milstein, step, n_check):
+def _batch_shapes(n_steps, n_rep):
+    """The batch engine's time-major increment and state shapes."""
+    return (n_steps, n_rep), (5, n_steps + 1, n_rep)
+
+
+def _batch_storage(n_steps, n_rep):
+    """Flat increment and state storage for batch runs of n_rep replicates
+    and up to n_steps steps, sized by the shapes that ``_run_batch`` views
+    its front as."""
+    return tuple(np.empty(math.prod(shape))
+                 for shape in _batch_shapes(n_steps, n_rep))
+
+
+def _run_batch(init, rngs, n_steps, dt, params, milstein, step, n_check,
+               storage=None):
     """The batch engine behind ``simulate_batch`` and the reconstruction.
 
     Replicate i starts from column i of ``init`` and draws its increments
@@ -226,14 +251,20 @@ def _run_batch(init, rngs, n_steps, dt, params, milstein, step, n_check):
     component at step k in failures, and after the run is frozen at its
     state before that step. Replicates never mix, so each row does the
     same float operations as it would alone. Returns ``(states,
-    increments, failures)``, the arrays as replicate-major views.
+    increments, failures)``, the arrays as replicate-major views of fresh
+    storage, or of the front of ``storage`` (from ``_batch_storage``),
+    which the run overwrites in full; those views are valid until that
+    storage is used again.
     """
     n_rep = len(rngs)
-    dw = np.empty((n_steps, n_rep))
+    shapes = _batch_shapes(n_steps, n_rep)
+    if storage is None:
+        storage = _batch_storage(n_steps, n_rep)
+    dw, x = (flat[:math.prod(shape)].reshape(shape)
+             for flat, shape in zip(storage, shapes))
     for i, rng in enumerate(rngs):
         dw[:, i] = rng.standard_normal(n_steps)
     dw *= np.sqrt(dt)
-    x = np.empty((5, n_steps + 1, n_rep))
     x[:, 0] = init
     failures = {}
     block = max(1, _ELEMENT_BUDGET // n_rep)
