@@ -22,8 +22,7 @@ from .errors import (DegenerateSampleError, DomainError, TooFewPointsError,
 from .estimate import _check_known_sigma, _estimate_replicates
 from .model import (ModelParams, Path, StateVec, _require_count,
                     _require_positive_step, _window_ends)
-from .simulate import (_batch_storage, _gains, _step_s, _write_rows,
-                       simulate_batch)
+from .simulate import _GRID_TOL, _gains, _step_s, _write_rows, simulate_batch
 
 # chi-squared(2) upper quantiles: -2 ln(alpha)
 _CHI2_2_CRITICAL = {0.01: 9.21034037197618, 0.05: 5.991464547107979}
@@ -149,23 +148,22 @@ def consistency_study(truth: ModelParams, init: StateVec,
                       seed: int, sigma: Optional[float] = None) -> list:
     """Median absolute estimation errors across growing horizons.
 
-    Simulates ``n_rep`` paths per horizon under ``truth`` (replicate r of
-    horizon h uses the stream ``SeedSequence(seed, spawn_key=(h, r))``),
-    estimates (beta_s, beta_a, p) on each full path, and reports the median
-    absolute error per parameter together with the fraction of replicates
-    whose growth window fails to cover the horizon. A replicate that left
-    [0, 1] counts as violating the window, whatever its frozen row shows.
+    Simulates ``n_rep`` paths under ``truth`` once, over the longest
+    horizon, replicate r from the stream ``SeedSequence(seed,
+    spawn_key=(0, r))``. A horizon of n steps studies the prefix of each
+    path up to grid point n: the n-step path of the same stream, so each
+    row equals the one-horizon study of its horizon. A row reports the
+    median absolute error of (beta_s, beta_a, p) estimated on every
+    prefix, and the fraction of replicates whose growth window fails to
+    cover the horizon. A replicate that left [0, 1] at step k (the step to
+    grid point k + 1) fails at every horizon of more than k steps, and
+    there counts as violating the window, whatever its frozen row shows.
     A horizon is flagged when that fraction exceeds ``_FLAG_RATE``; if
     every replicate violates the window the study aborts. ``n_rep`` is an
-    integer of at least 1, and a horizon under two steps of ``dt`` is a
-    ValueError raised before any path is simulated.
-
-    Every horizon runs in one state and one increment storage, sized for
-    the longest horizon and allocated once: glibc raises its mmap and trim
-    thresholds when it frees a mapping of up to 32 MB, so freeing each
-    horizon's arrays in turn left shorter horizons on a heap it never
-    trimmed. Each horizon's paths are views of that storage, valid until
-    the next horizon runs.
+    integer of at least 1. Each horizon lies within ``_GRID_TOL * dt`` of
+    a grid length k * dt, k at least 2, and no two horizons share one;
+    any other horizon is a ValueError raised before any path is
+    simulated.
     """
     horizons = list(horizons)
     if not horizons:
@@ -178,42 +176,41 @@ def consistency_study(truth: ModelParams, init: StateVec,
     _check_known_sigma(sigma)
     _require_positive_step("dt", dt)
     steps = [int(round(horizon / dt)) for horizon in horizons]
+    for horizon, n_steps in zip(horizons, steps):
+        if abs(horizon - n_steps * dt) > _GRID_TOL * dt:
+            raise ValueError(f"horizon {horizon} is off the grid k*dt with "
+                             f"dt = {dt}")
     if steps[0] < 2:  # horizons increase, so the first is the shortest
         raise ValueError(f"horizon {horizons[0]} too short for dt = {dt}")
-    storage = _batch_storage(steps[-1], n_rep)
+    if any(b == a for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"horizons {horizons!r} share a step count at "
+                         f"dt = {dt}")
+    seeds = [np.random.SeedSequence(seed, spawn_key=(0, i))
+             for i in range(n_rep)]
+    x, _, sim_failures = simulate_batch(truth, init, dt, steps[-1], seeds)
     rows = []
-    for h, (horizon, n_steps) in enumerate(zip(horizons, steps)):
-        seeds = [np.random.SeedSequence(seed, spawn_key=(h, i))
-                 for i in range(n_rep)]
-        rows.append(_study_horizon(truth, init, horizon, n_steps, dt, seeds,
-                                   sigma, storage))
+    for horizon, n_steps in zip(horizons, steps):
+        prefix = x[:, :n_steps + 1]
+        failures = {i: err for i, err in sim_failures.items()
+                    if err.step < n_steps}
+        violated = _window_ends(prefix[:, :, 0], prefix[:, :, 1],
+                                prefix[:, :, 2], prefix[:, :, 3]) != n_steps
+        violated[list(failures)] = True
+        rate = float(np.mean(violated))
+        if np.all(violated):
+            raise WindowViolatedError(
+                f"all {n_rep} replicates violate the growth window at "
+                f"horizon {horizon}")
+        est, ok, _ = _estimate_replicates(prefix, dt, truth, sigma, failures)
+        rows.append(ConsistencyRow(
+            horizon=horizon,
+            abs_err_beta_s=float(np.median(np.abs(est.beta_s - truth.beta_s))),
+            abs_err_beta_a=float(np.median(np.abs(est.beta_a - truth.beta_a))),
+            abs_err_p=float(np.median(np.abs(est.p - truth.p))),
+            window_violation_rate=rate,
+            flagged=rate > _FLAG_RATE,
+            n_failed=n_rep - int(ok.size)))
     return rows
-
-
-def _study_horizon(truth, init, horizon, n_steps, dt, seeds, sigma,
-                   storage):
-    """One horizon's row of ``consistency_study``. Its paths are simulated
-    into the front of the study's ``storage``, which is sized for the
-    longest horizon, and stay valid only until the next horizon runs."""
-    x, _, sim_failures = simulate_batch(truth, init, dt, n_steps, seeds,
-                                        storage=storage)
-    violated = _window_ends(x[:, :, 0], x[:, :, 1], x[:, :, 2],
-                            x[:, :, 3]) != n_steps
-    violated[list(sim_failures)] = True
-    rate = float(np.mean(violated))
-    if np.all(violated):
-        raise WindowViolatedError(
-            f"all {len(seeds)} replicates violate the growth window at "
-            f"horizon {horizon}")
-    est, ok, _ = _estimate_replicates(x, dt, truth, sigma, sim_failures)
-    return ConsistencyRow(
-        horizon=horizon,
-        abs_err_beta_s=float(np.median(np.abs(est.beta_s - truth.beta_s))),
-        abs_err_beta_a=float(np.median(np.abs(est.beta_a - truth.beta_a))),
-        abs_err_p=float(np.median(np.abs(est.p - truth.p))),
-        window_violation_rate=rate,
-        flagged=rate > _FLAG_RATE,
-        n_failed=len(seeds) - int(ok.size))
 
 
 def qq_to_csv(points: np.ndarray, target) -> None:

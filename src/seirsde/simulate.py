@@ -18,7 +18,6 @@ any Monte Carlo run is reproducible end to end.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -188,8 +187,7 @@ def simulate_path(cfg: SimConfig,
 
 
 def simulate_batch(params: ModelParams, init: StateVec, dt: float,
-                   n_steps: int, seeds: Sequence, scheme: str = SCHEME_EULER,
-                   *, storage=None):
+                   n_steps: int, seeds: Sequence, scheme: str = SCHEME_EULER):
     """Vectorised engine for Monte Carlo studies.
 
     Integrates one path per seed simultaneously; per-replicate results are
@@ -201,13 +199,7 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
     the PositivityError of the first step that left [0, 1], the same one
     ``simulate_path`` raises, and that row holds its state before the
     failing step from then on. Storage is time-major, so both arrays are
-    transposed views of it: fresh arrays by default, or the front of a
-    ``storage`` from ``_batch_storage`` at least this run's size, which the
-    run overwrites in full. Arrays from a given storage are views, valid
-    until that storage is used again. A caller running batches of several
-    sizes passes one storage sized for the largest, since glibc keeps the
-    heap that freed arrays of a few MB to 32 MB leave behind. ``seeds``
-    must hold at least one seed.
+    transposed views of it. ``seeds`` must hold at least one seed.
     """
     SimConfig(params, init, dt, n_steps, scheme)
     _require_count("the seed count", len(seeds), 1)
@@ -218,24 +210,10 @@ def simulate_batch(params: ModelParams, init: StateVec, dt: float,
 
     return _run_batch(init.as_array()[:, None],
                       [np.random.default_rng(sd) for sd in seeds], n_steps,
-                      dt, params, milstein, step, 5, storage)
+                      dt, params, milstein, step, 5)
 
 
-def _batch_shapes(n_steps, n_rep):
-    """The batch engine's time-major increment and state shapes."""
-    return (n_steps, n_rep), (5, n_steps + 1, n_rep)
-
-
-def _batch_storage(n_steps, n_rep):
-    """Flat increment and state storage for batch runs of n_rep replicates
-    and up to n_steps steps, sized by the shapes that ``_run_batch`` views
-    its front as."""
-    return tuple(np.empty(math.prod(shape))
-                 for shape in _batch_shapes(n_steps, n_rep))
-
-
-def _run_batch(init, rngs, n_steps, dt, params, milstein, step, n_check,
-               storage=None):
+def _run_batch(init, rngs, n_steps, dt, params, milstein, step, n_check):
     """The batch engine behind ``simulate_batch`` and the reconstruction.
 
     Replicate i starts from column i of ``init`` and draws its increments
@@ -251,20 +229,14 @@ def _run_batch(init, rngs, n_steps, dt, params, milstein, step, n_check,
     component at step k in failures, and after the run is frozen at its
     state before that step. Replicates never mix, so each row does the
     same float operations as it would alone. Returns ``(states,
-    increments, failures)``, the arrays as replicate-major views of fresh
-    storage, or of the front of ``storage`` (from ``_batch_storage``),
-    which the run overwrites in full; those views are valid until that
-    storage is used again.
+    increments, failures)``, the arrays as replicate-major views.
     """
     n_rep = len(rngs)
-    shapes = _batch_shapes(n_steps, n_rep)
-    if storage is None:
-        storage = _batch_storage(n_steps, n_rep)
-    dw, x = (flat[:math.prod(shape)].reshape(shape)
-             for flat, shape in zip(storage, shapes))
+    dw = np.empty((n_steps, n_rep))
     for i, rng in enumerate(rngs):
         dw[:, i] = rng.standard_normal(n_steps)
     dw *= np.sqrt(dt)
+    x = np.empty((5, n_steps + 1, n_rep))
     x[:, 0] = init
     failures = {}
     block = max(1, _ELEMENT_BUDGET // n_rep)

@@ -71,7 +71,7 @@ GOLDEN = {
     "validate_log/residuals.csv":
         "66b1c6a27b0d479af8584f54cf2a6dce233f7e90e7906ebb067f56270b0023cb",
     "mc_study/consistency.csv":
-        "0953a6f2de63449913eed3acd86f2c3eb61d30d27312f455c76b403d0a5f61f0",
+        "7ed57d93802df28e94f66e48e2eb4c7daa043c731ee76bc8fdcd380c4bd13f0c",
     "mcmc_incidence/samples.csv":
         "1438bdf9c4955b7162e1d8682a100ed81fa304f9ce3fd19d600f1ebad0b684cd",
     "mcmc_prior/samples.csv":

@@ -231,6 +231,17 @@ class TestMcStudyCommand:
                             "window_violation_rate")
         assert len(lines) == 3
 
+    def test_off_grid_horizon_is_a_config_error(self, tmp_path, capsys):
+        # 12.5 steps of dt: the run would take 12 and report T = 0.0125
+        cfg = write_config(tmp_path, mc_study={
+            "horizons": [0.0125], "n_rep": 20, "dt": 1e-3,
+            "init": INTERIOR_BLOCK})
+        out = tmp_path / "mc"
+        assert main(["mc-study", "--config", cfg, "--seed", "4",
+                     "--out", str(out)]) == EXIT_CODES[ConfigError] == 2
+        assert "off the grid" in capsys.readouterr().err
+        assert not (out / "consistency.csv").exists()
+
 
 class TestMcmcCommand:
     def test_writes_samples(self, tmp_path):

@@ -251,31 +251,53 @@ class TestConsistencyStudy:
                               seed=3, sigma=-0.01)
 
     def test_rows_report_violation_rates(self, params, interior_init):
-        horizons, n_rep, dt = [0.02, 0.04], 20, 1e-3
+        # about 3% of replicates keep the window over 40 steps, so with 20
+        # of them the study would find none about half the time and abort
+        horizons, n_rep, dt = [0.02, 0.04], 200, 1e-3
         rows = consistency_study(params, interior_init, horizons, n_rep,
                                  dt=dt, seed=3)
         assert len(rows) == 2
-        for h, (horizon, row) in enumerate(zip(horizons, rows)):
+        # the same replicate paths, judged one at a time: every horizon is
+        # a prefix of one run over the streams (0, i)
+        seeds = [np.random.SeedSequence(3, spawn_key=(0, i))
+                 for i in range(n_rep)]
+        x, _, _ = simulate_batch(params, interior_init, dt,
+                                 int(round(horizons[-1] / dt)), seeds)
+        for horizon, row in zip(horizons, rows):
             assert 0.0 <= row.window_violation_rate < 1.0
             assert row.flagged == (row.window_violation_rate > 0.20)
-            # the same replicate paths, judged one at a time
-            seeds = [np.random.SeedSequence(3, spawn_key=(h, i))
-                     for i in range(n_rep)]
-            x, _, _ = simulate_batch(params, interior_init, dt,
-                                     int(round(horizon / dt)), seeds)
             violated = []
-            for row_x in x:
+            for row_x in x[:, :int(round(horizon / dt)) + 1]:
                 path = Path(0.0, dt, *row_x.T, require_simplex=False)
                 window = hypothesis_window(path)
                 violated.append(not (window.satisfied
                                      and window.t_end == path.times[-1]))
             assert row.window_violation_rate == np.mean(violated)
 
-    def test_a_horizon_frees_its_paths_before_the_next(self, params,
-                                                       interior_init):
-        # two horizons of nearly the same length: holding the first one's
-        # states and increments while the second simulates would double
-        # the peak, so the bound is one and a half of the second's arrays
+    @pytest.mark.parametrize("model_sigma,horizons", [
+        (0.01, [0.02, 0.04, 0.08]),
+        (8.0, [0.005, 0.01, 0.02, 0.04])],
+        ids=["baseline-sigma", "sigma-8-failing-replicates"])
+    def test_each_row_is_its_horizon_studied_alone(
+            self, params, interior_init, model_sigma, horizons):
+        truth = params.replaced(sigma=model_sigma)
+        rows = consistency_study(truth, interior_init, horizons, 1000,
+                                 dt=1e-3, seed=5)
+        for horizon, row in zip(horizons, rows):
+            alone, = consistency_study(truth, interior_init, [horizon], 1000,
+                                       dt=1e-3, seed=5)
+            assert row == alone
+        # a replicate that fails counts at every later horizon
+        n_failed = [row.n_failed for row in rows]
+        assert n_failed == sorted(n_failed)
+        if model_sigma == 8.0:
+            assert len(set(n_failed)) > 1
+
+    def test_the_study_holds_one_run_of_its_longest_horizon(self, params,
+                                                            interior_init):
+        # two horizons of nearly the same length: a second run's states and
+        # increments held beside the first's would double the peak, so the
+        # bound is one and a half of the longest horizon's arrays
         horizons, n_rep, dt = [0.15, 0.16], 2000, 1e-3
         n_steps = int(round(horizons[-1] / dt))
         arrays = (5 * (n_steps + 1) + n_steps) * n_rep * 8
@@ -290,9 +312,12 @@ class TestConsistencyStudy:
 
     @pytest.mark.parametrize("horizons,n_rep", [([0.04, 0.02], 5),
                                                 ([], 5), ([0.02], 0),
-                                                ([0.001], 5)],
+                                                ([0.001], 5),
+                                                ([0.02, 0.0200000001], 5),
+                                                ([0.0125], 5)],
                              ids=["decreasing", "no-horizon", "no-replicate",
-                                  "one-step-horizon"])
+                                  "one-step-horizon", "same-step-count",
+                                  "off-grid"])
     def test_horizons_must_increase(self, params, interior_init, horizons,
                                     n_rep):
         with pytest.raises(ValueError):

@@ -352,44 +352,6 @@ class TestBatchEngine:
             simulate_batch(params, interior_init, **args)
 
 
-class TestBatchStorage:
-    @pytest.mark.parametrize("sigma,scheme", [
-        (None, SCHEME_EULER), (None, SCHEME_MILSTEIN), (8.0, SCHEME_EULER)],
-        ids=["euler-maruyama", "milstein", "sigma-8-frozen-rows"])
-    def test_reused_storage_leaks_nothing(self, params, interior_init, sigma,
-                                          scheme):
-        # a NaN fill, then a longer run, then a shorter one: each run into
-        # the storage gives what a fresh call gives, bit for bit
-        if sigma is not None:
-            params = params.replaced(sigma=sigma)
-        seeds = range(40)
-        storage = simulate._batch_storage(150, len(seeds))
-        for flat in storage:
-            flat.fill(np.nan)
-        for n_steps in (150, 90):
-            fresh = simulate_batch(params, interior_init, 1e-3, n_steps,
-                                   seeds, scheme)
-            reused = simulate_batch(params, interior_init, 1e-3, n_steps,
-                                    seeds, scheme, storage=storage)
-            for got, want in zip(reused[:2], fresh[:2]):
-                assert got.shape == want.shape
-                assert bits(got) == bits(want)
-            assert {i: (e.step, e.component, e.value)
-                    for i, e in reused[2].items()} == {
-                i: (e.step, e.component, e.value)
-                for i, e in fresh[2].items()}
-            assert np.shares_memory(reused[0], storage[1])
-            assert np.shares_memory(reused[1], storage[0])
-        if sigma is not None:
-            assert fresh[2]  # the frozen rows were covered
-
-    def test_short_storage_is_rejected(self, params, interior_init):
-        storage = simulate._batch_storage(20, 3)
-        with pytest.raises(ValueError):
-            simulate_batch(params, interior_init, 1e-3, 21, range(3),
-                           storage=storage)
-
-
 class TestStrongOrder:
     def test_error_decreases_monotonically_under_refinement(self, params,
                                                             interior_init):
